@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench-smoke bench-json pprof serve-demo ci
+.PHONY: all build test race lint fuzz bench-smoke bench-json bench-e2e bench-e2e-compare pprof serve-demo ci
 
 all: build
 
@@ -43,7 +43,8 @@ lint:
 	fi
 
 # Fuzz the decode boundaries that accept bytes from disk: the block
-# segment format, the ingest staging log, and the kv text codec. Each
+# segment format, the MRBG-Store chunk frame, the ingest staging log,
+# and the kv text codec. Each
 # target gets FUZZTIME of coverage-guided input generation (the go tool
 # runs one -fuzz pattern per invocation). Seeds are valid encodes plus
 # byte-flipped variants, mirroring the deterministic corruption-sweep
@@ -52,6 +53,7 @@ FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFile$$' -fuzztime $(FUZZTIME) ./internal/blockio
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/mrbg
 	$(GO) test -run '^$$' -fuzz '^FuzzWALLine$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzEscapeField$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzTextDelta$$' -fuzztime $(FUZZTIME) ./internal/kv
@@ -77,6 +79,25 @@ bench-json:
 	$(GO) run ./cmd/i2mr-bench -scale small -json BENCH_results.json results
 	$(GO) run ./cmd/i2mr-bench -scale small -shuffle-mem 65536 -json BENCH_plan.json plan
 
+# The end-to-end perf ledger (benchmark/README.md): delta-ingest to
+# visible read on the real stack, every run checked against
+# re-computation from scratch. bench-e2e is the smoke: each workload
+# for 5 s through the command BENCHMARK.json names, plus the
+# benchmark module's own vet and tests (it is a module of its own, so
+# `go test ./...` at the root does not reach it). bench-e2e-compare
+# measures a fresh five-seed ledger and prints it against the checked-in
+# baseline; timings on a shared machine are advisory, the per-record
+# byte and allocation counts repeat.
+bench-e2e:
+	@for w in wc_stream wc_bulk pr_refresh serve_mixed; do \
+		bash benchmark/run.sh --workload $$w --seconds 5 || exit 1; \
+	done
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e-compare:
+	bash benchmark/run.sh -repeats 5 -json .bench_build/ledger.json
+	bash benchmark/run.sh -compare benchmark/baseline.json .bench_build/ledger.json
+
 # CPU + heap + contention profiles of the storage/serving hot path (the
 # results point-read benchmarks), for digging into a regression the
 # sweeps surface: `make pprof` then `go tool pprof cpu.prof`. The mutex
@@ -96,4 +117,4 @@ serve-demo:
 	$(GO) run ./cmd/i2mr-serve -addr :8080 -n 4000 -refresh-every 5s
 
 # Everything CI runs, in the same order.
-ci: build lint test race fuzz bench-smoke
+ci: build lint test race fuzz bench-smoke bench-e2e

@@ -486,7 +486,7 @@ func (r *Runner) runIncrementalIteration(it int, deltaEdges [][]mrbg.DeltaEdge) 
 					var newDV string
 					var emitErr error
 					emitted := false
-					err := r.spec.Reduce(res.Key, res.Chunk.Values(), getter, func(dk, dv string) {
+					err := r.spec.Reduce(res.Key, res.Values, getter, func(dk, dv string) {
 						switch {
 						case emitted:
 							emitErr = fmt.Errorf("core: reduce for %q emitted more than one state update", res.Key)

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"i2mapreduce/internal/iter"
@@ -125,29 +125,7 @@ func (sp *structPart) readAll(fn func(p kv.Pair) error) error {
 // (one positioned read instead of a full scan). Missing dk is a no-op.
 // It returns the number of bytes read.
 func (sp *structPart) readDK(dk string, fn func(p kv.Pair) error) (int64, error) {
-	s, ok := sp.spans[dk]
-	if !ok {
-		return 0, nil
-	}
-	f, err := os.Open(sp.path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	buf := make([]byte, s.len)
-	if _, err := f.ReadAt(buf, s.off); err != nil {
-		return 0, fmt.Errorf("core: structure span read %q: %w", dk, err)
-	}
-	ps, err := kv.DecodePairs(bytes.NewReader(buf))
-	if err != nil {
-		return s.len, fmt.Errorf("core: structure span decode %q: %w", dk, err)
-	}
-	for _, p := range ps {
-		if err := fn(p); err != nil {
-			return s.len, err
-		}
-	}
-	return s.len, nil
+	return sp.readDKsSorted([]string{dk}, func(_ string, p kv.Pair) error { return fn(p) })
 }
 
 // readDKsSorted reads the records of several state keys with one file
@@ -160,24 +138,29 @@ func (sp *structPart) readDKsSorted(dks []string, fn func(dk string, p kv.Pair) 
 	}
 	defer f.Close()
 	var total int64
+	// One span buffer serves every DK, and each span (typically a
+	// hundred bytes) is decoded where it lies: a kv.Reader would buy a
+	// 64 KiB bufio.Reader per span.
+	var buf []byte
 	for _, dk := range dks {
 		s, ok := sp.spans[dk]
 		if !ok {
 			continue
 		}
-		buf := make([]byte, s.len)
+		buf = slices.Grow(buf[:0], int(s.len))[:s.len]
 		if _, err := f.ReadAt(buf, s.off); err != nil {
 			return total, fmt.Errorf("core: structure span read %q: %w", dk, err)
 		}
 		total += s.len
-		ps, err := kv.DecodePairs(bytes.NewReader(buf))
-		if err != nil {
-			return total, fmt.Errorf("core: structure span decode %q: %w", dk, err)
-		}
-		for _, p := range ps {
-			if err := fn(dk, p); err != nil {
+		for rest := buf; len(rest) > 0; {
+			k, v, n, err := kv.DecodePairInPlace(rest)
+			if err != nil {
+				return total, fmt.Errorf("core: structure span decode %q: %w", dk, err)
+			}
+			if err := fn(dk, kv.Pair{Key: string(k), Value: string(v)}); err != nil {
 				return total, err
 			}
+			rest = rest[n:]
 		}
 	}
 	return total, nil

@@ -864,7 +864,7 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 						return nil
 					}
 					var outs []kv.Pair
-					err := r.job.Reducer.Reduce(m.Key, m.Chunk.Values(), func(k3, v3 string) {
+					err := r.job.Reducer.Reduce(m.Key, m.Values, func(k3, v3 string) {
 						outs = append(outs, kv.Pair{Key: k3, Value: v3})
 					})
 					if err != nil {

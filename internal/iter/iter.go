@@ -60,7 +60,9 @@ type Spec struct {
 	// emitted as (DK, DV). For co-partitioned specs every emitted DK
 	// must hash to the reduce task's own partition (the paper's
 	// "Reduce task i produces and only produces the state kv-pairs in
-	// partition i"); the engine enforces this.
+	// partition i"); the engine enforces this. The values slice is
+	// valid only during the call: an incremental iteration reuses it
+	// for the next K2.
 	Reduce func(k2 string, values []string, state StateGetter, emit Emit) error
 	// InitState returns the initial DV for a state key discovered
 	// during structure loading. Unused when ReplicateState is set

@@ -49,7 +49,9 @@ type MapperFunc func(key, value string, emit Emit) error
 func (f MapperFunc) Map(key, value string, emit Emit) error { return f(key, value, emit) }
 
 // Reducer folds all values of one intermediate key into final records:
-// reduce(K2,{V2}) -> [(K3,V3)].
+// reduce(K2,{V2}) -> [(K3,V3)]. The values slice belongs to the engine
+// and is valid only during the call (an incremental refresh reuses it
+// for the next key); a Reducer may keep the strings, not the slice.
 type Reducer interface {
 	Reduce(key string, values []string, emit Emit) error
 }

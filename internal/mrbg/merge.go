@@ -2,10 +2,12 @@ package mrbg
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"i2mapreduce/internal/blockio"
 	"i2mapreduce/internal/fsutil"
@@ -15,10 +17,28 @@ import (
 // (the new Reduce input), or Removed=true when every edge of a
 // previously live chunk was deleted, meaning the Reduce instance — and
 // its final output — no longer exists.
+//
+// Aliasing: a result streamed by a single-shard store is valid only
+// until emit returns — Chunk.Edges and Values are scratch the merge
+// reuses for the next key. A callback that keeps either must copy the
+// slice (the strings in it are immutable and may be kept). Results a
+// multi-shard store emits were buffered to restore global key order,
+// so they own their slices.
 type MergeResult struct {
-	Key     string
-	Chunk   Chunk
+	Key   string
+	Chunk Chunk
+	// Values is Chunk.Values(), built by the merge itself: the {V2} list
+	// for Reduce, in ascending MK order.
+	Values  []string
 	Removed bool
+}
+
+// owned returns r with slices of its own, for a caller that keeps a
+// streamed result past emit.
+func (r MergeResult) owned() MergeResult {
+	r.Chunk.Edges = slices.Clone(r.Chunk.Edges)
+	r.Values = slices.Clone(r.Values)
+	return r
 }
 
 // Merge joins a delta MRBGraph into the store (paper Sec. 3.3-3.4):
@@ -28,14 +48,15 @@ type MergeResult struct {
 // so the caller can re-run Reduce, and appends the new chunk version
 // through the append buffer as the next sorted batch.
 //
-// delta does not need to be sorted; Merge sorts a copy. Records with
-// the same (key, MK) apply in slice order, so a deletion followed by an
-// insertion (the paper's representation of an update) nets to the
-// insertion.
+// delta does not need to be sorted; Merge sorts a copy unless it
+// already is. Records with the same (key, MK) apply in slice order, so
+// a deletion followed by an insertion (the paper's representation of an
+// update) nets to the insertion.
 //
 // The emit callback runs before the new batch commits; if it returns an
 // error the merge aborts with the index unchanged. Results stream one
-// key at a time — only the chunk being merged is in memory.
+// key at a time — only the chunk being merged is in memory — and each
+// is valid only until emit returns (see MergeResult).
 func (s *Store) Merge(delta []DeltaEdge, emit func(r MergeResult) error) error {
 	var removed []string
 	err := s.mergeDeltas(delta, func(r MergeResult) error {
@@ -63,11 +84,12 @@ func (s *Store) Merge(delta []DeltaEdge, emit func(r MergeResult) error) error {
 // per-key results are returned in sorted key order, but nothing is
 // committed. The caller must follow with commitMerge or abortMerge.
 // Used by the multi-shard merge, which must buffer results to re-merge
-// them into global key order before emitting.
+// them into global key order before emitting — so each result owns its
+// slices.
 func (s *Store) stageMerge(delta []DeltaEdge) ([]MergeResult, error) {
 	results := make([]MergeResult, 0, len(delta))
 	err := s.mergeDeltas(delta, func(r MergeResult) error {
-		results = append(results, r)
+		results = append(results, r.owned())
 		return nil
 	})
 	if err != nil {
@@ -76,15 +98,36 @@ func (s *Store) stageMerge(delta []DeltaEdge) ([]MergeResult, error) {
 	return results, nil
 }
 
+// compareDelta orders delta records by (key, MK): the order the merge
+// walks them in.
+func compareDelta(a, b DeltaEdge) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.MK, b.MK)
+}
+
 // mergeDeltas is the join loop shared by Merge (streaming) and
 // stageMerge (buffered): it invokes onResult per affected key in sorted
 // order while staging new chunk versions, committing nothing.
+//
+// The join is a sorted merge, linear in the chunk plus its delta: a
+// chunk's edges are stored in ascending MK order and the key's delta
+// records are sorted the same way, so two cursors produce the merged
+// edges already in order. Every result is built in the store's scratch
+// slices, which all keys, of this merge and the next, share: it is
+// valid only until onResult returns.
 func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) error) error {
 	if len(s.pending) != 0 {
 		return errors.New("mrbg: Merge re-entered before commit")
 	}
-	ds := append([]DeltaEdge(nil), delta...)
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].Key < ds[j].Key })
+	// A stable sort keeps records of one (key, MK) in slice order, which
+	// is the order they apply in.
+	ds := delta
+	if !slices.IsSortedFunc(ds, compareDelta) {
+		ds = slices.Clone(delta)
+		slices.SortStableFunc(ds, compareDelta)
+	}
 
 	// Distinct affected keys, already sorted: Algorithm 1's list L.
 	keys := make([]string, 0, len(ds))
@@ -95,28 +138,33 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 	}
 	plan := &queryPlan{keys: keys}
 
+	// The scratch outlives the call: a partition's refresh is often many
+	// small merges, and regrowing to the largest chunk in each would cost
+	// more than the chunks themselves.
+	sc := &s.scratch
 	di := 0
 	for ki, key := range keys {
 		plan.pos = ki
-		old, ok, err := s.fetch(key, plan)
+		old, ok, err := s.fetch(key, plan, sc.old)
 		if err != nil {
 			return err
 		}
-
-		// Merge preserved edges with this key's delta records.
-		merged := make(map[uint64]string, len(old.Edges)+4)
 		if ok {
-			for _, e := range old.Edges {
-				merged[e.MK] = e.V2
-			}
+			sc.old = old.Edges // possibly regrown
 		}
-		for ; di < len(ds) && ds[di].Key == key; di++ {
-			if ds[di].Delete {
-				delete(merged, ds[di].MK)
-			} else {
-				merged[ds[di].MK] = ds[di].V2
-			}
+		lo := di
+		for di < len(ds) && ds[di].Key == key {
+			di++
 		}
+		run := ds[lo:di]
+
+		merged := slices.Grow(sc.merged[:0], len(old.Edges)+len(run))
+		merged = mergeEdges(merged, normalizeEdges(old.Edges), run)
+		values := slices.Grow(sc.values[:0], len(merged))
+		for _, e := range merged {
+			values = append(values, e.V2)
+		}
+		sc.merged, sc.values = merged, values
 
 		if len(merged) == 0 {
 			if ok {
@@ -130,14 +178,8 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 			}
 			continue
 		}
-
-		edges := make([]Edge, 0, len(merged))
-		for mk, v2 := range merged {
-			edges = append(edges, Edge{MK: mk, V2: v2})
-		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].MK < edges[j].MK })
-		c := Chunk{Key: key, Edges: edges}
-		if err := onResult(MergeResult{Key: key, Chunk: c}); err != nil {
+		c := Chunk{Key: key, Edges: merged}
+		if err := onResult(MergeResult{Key: key, Chunk: c, Values: values}); err != nil {
 			return err
 		}
 		if err := s.appendChunk(c); err != nil {
@@ -145,6 +187,55 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 		}
 	}
 	return nil
+}
+
+// mergeEdges appends to dst the edges of old with run applied, where
+// old is in strictly ascending MK order and run is one key's delta
+// records in ascending MK order. Records of one MK collapse to the last
+// of them: a deletion drops the edge, an insertion sets its value.
+func mergeEdges(dst, old []Edge, run []DeltaEdge) []Edge {
+	i := 0
+	for j := 0; j < len(run); j++ {
+		if j+1 < len(run) && run[j+1].MK == run[j].MK {
+			continue // a later record of the same MK supersedes this one
+		}
+		d := run[j]
+		for i < len(old) && old[i].MK < d.MK {
+			dst = append(dst, old[i])
+			i++
+		}
+		if i < len(old) && old[i].MK == d.MK {
+			i++
+		}
+		if !d.Delete {
+			dst = append(dst, Edge{MK: d.MK, V2: d.V2})
+		}
+	}
+	return append(dst, old[i:]...)
+}
+
+// normalizeEdges returns edges in strictly ascending MK order. Chunks a
+// merge wrote already are, and come back untouched; a chunk staged with
+// Put is whatever the caller passed, so out-of-order edges are sorted
+// (stably) and, of several edges with one MK, the last one wins — in
+// place, as the slice is the merge's scratch.
+func normalizeEdges(edges []Edge) []Edge {
+	ascending := true
+	for i := 1; i < len(edges) && ascending; i++ {
+		ascending = edges[i-1].MK < edges[i].MK
+	}
+	if ascending {
+		return edges
+	}
+	slices.SortStableFunc(edges, func(a, b Edge) int { return cmp.Compare(a.MK, b.MK) })
+	out := edges[:0]
+	for i, e := range edges {
+		if i+1 < len(edges) && edges[i+1].MK == e.MK {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // abortMerge discards everything staged since the last commit, leaving
@@ -276,7 +367,7 @@ func (s *Store) VerifyInvariants() error {
 		if l.off < 0 || l.len <= 0 || l.off+l.len > s.size {
 			return fmt.Errorf("mrbg: index entry %q out of bounds: %+v size=%d", k, l, s.size)
 		}
-		buf, err := s.readAt(l.off, l.len)
+		buf, err := s.readAt(nil, l.off, l.len)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,9 @@ package mrbg
 
 import (
 	"fmt"
+	"slices"
+
+	"i2mapreduce/internal/blockio"
 )
 
 // window is one read cache region: bytes [start,end) of the MRBGraph
@@ -30,15 +33,16 @@ type queryPlan struct {
 const singleWindowKey = -1
 
 // readAt issues one I/O of n bytes at off, truncated at the logical end
-// of the file, updating the read statistics.
-func (s *Store) readAt(off, n int64) ([]byte, error) {
+// of the file, updating the read statistics. The bytes land in buf's
+// backing array when it is large enough (buf may be nil).
+func (s *Store) readAt(buf []byte, off, n int64) ([]byte, error) {
 	if off >= s.size {
 		return nil, fmt.Errorf("mrbg: read at %d beyond file end %d", off, s.size)
 	}
 	if off+n > s.size {
 		n = s.size - off
 	}
-	buf := make([]byte, n)
+	buf = slices.Grow(buf[:0], int(n))[:n]
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("mrbg: read: %w", err)
 	}
@@ -91,8 +95,9 @@ func (s *Store) dynamicWindowSize(l loc, plan *queryPlan) int64 {
 
 // fetch retrieves the live chunk for key, using the configured read
 // strategy and the query plan for window sizing. The second result is
-// false if key has no live chunk.
-func (s *Store) fetch(key string, plan *queryPlan) (Chunk, bool, error) {
+// false if key has no live chunk. The chunk's edges are appended to
+// edges[:0] (nil allocates); its strings never alias a read buffer.
+func (s *Store) fetch(key string, plan *queryPlan, edges []Edge) (Chunk, bool, error) {
 	l, ok := s.index[key]
 	if !ok {
 		return Chunk{}, false, nil
@@ -102,12 +107,16 @@ func (s *Store) fetch(key string, plan *queryPlan) (Chunk, bool, error) {
 	var size int64
 	switch s.opts.Strategy {
 	case IndexOnly:
-		// Exact read, no caching: decode straight from the I/O.
-		buf, err := s.readAt(l.off, l.len)
+		// Exact read, no caching: the frame passes through a pooled
+		// buffer, which decoding copies out of.
+		pooled := blockio.GetBuf()
+		defer blockio.PutBuf(pooled)
+		buf, err := s.readAt(*pooled, l.off, l.len)
 		if err != nil {
 			return Chunk{}, false, err
 		}
-		return s.decodeAt(buf, key)
+		*pooled = buf
+		return decodeAt(buf, key, edges)
 	case SingleFixedWindow:
 		winKey, size = singleWindowKey, s.opts.FixedWindowSize
 	case MultiFixedWindow:
@@ -123,21 +132,21 @@ func (s *Store) fetch(key string, plan *queryPlan) (Chunk, bool, error) {
 
 	if w := s.windows[winKey]; w.contains(l) {
 		s.stats.CacheHits++
-		return s.decodeAt(w.data[l.off-w.start:][:l.len], key)
+		return decodeAt(w.data[l.off-w.start:][:l.len], key, edges)
 	}
-	buf, err := s.readAt(l.off, size)
+	buf, err := s.readAt(nil, l.off, size)
 	if err != nil {
 		return Chunk{}, false, err
 	}
 	s.windows[winKey] = &window{start: l.off, end: l.off + int64(len(buf)), data: buf}
-	return s.decodeAt(buf[:l.len], key)
+	return decodeAt(buf[:l.len], key, edges)
 }
 
 // decodeAt decodes one chunk frame and validates it against the
 // requested key, converting index corruption into a hard error instead
 // of silently returning another key's edges.
-func (s *Store) decodeAt(frame []byte, key string) (Chunk, bool, error) {
-	c, _, err := decodeChunk(frame)
+func decodeAt(frame []byte, key string, edges []Edge) (Chunk, bool, error) {
+	c, _, err := decodeChunkInto(edges, frame)
 	if err != nil {
 		return Chunk{}, false, fmt.Errorf("mrbg: chunk for %q: %w", key, err)
 	}
@@ -150,7 +159,7 @@ func (s *Store) decodeAt(frame []byte, key string) (Chunk, bool, error) {
 // Get retrieves one chunk outside any batch plan.
 func (s *Store) Get(key string) (Chunk, bool, error) {
 	plan := &queryPlan{keys: []string{key}}
-	return s.fetch(key, plan)
+	return s.fetch(key, plan, nil)
 }
 
 // GetMany retrieves the chunks of keys (which must be sorted ascending,
@@ -165,7 +174,7 @@ func (s *Store) GetMany(keys []string, fn func(key string, c Chunk, ok bool) err
 	plan := &queryPlan{keys: keys}
 	for i, k := range keys {
 		plan.pos = i
-		c, ok, err := s.fetch(k, plan)
+		c, ok, err := s.fetch(k, plan, nil)
 		if err != nil {
 			return err
 		}

@@ -51,6 +51,27 @@ func TestIndexOnlyOneReadPerChunk(t *testing.T) {
 	}
 }
 
+// TestDefaultStrategyIsIndexOnly pins what an engine that leaves
+// Options.Strategy unset actually runs: the zero value, IndexOnly, not
+// the paper's multi-dynamic-window. Flipping the default moves every
+// workload's read bytes, so it must be a deliberate, measured change.
+func TestDefaultStrategyIsIndexOnly(t *testing.T) {
+	var o Options
+	o.applyDefaults()
+	if o.Strategy != IndexOnly {
+		t.Fatalf("default Strategy = %v, want %v", o.Strategy, IndexOnly)
+	}
+	s := openStore(t, Options{})
+	keys := populate(t, s, 50, 20, "a")
+	s.ResetStats()
+	if err := s.GetMany(keys, func(string, Chunk, bool) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Reads != 50 || st.CacheHits != 0 {
+		t.Fatalf("default store: Reads = %d, CacheHits = %d; want 50 exact reads and no window", st.Reads, st.CacheHits)
+	}
+}
+
 func TestDynamicWindowBatchesAdjacentReads(t *testing.T) {
 	s := openStore(t, Options{
 		Strategy:      MultiDynamicWindow,

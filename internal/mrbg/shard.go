@@ -331,7 +331,7 @@ func (ss *ShardedStore) getManyLocked(keys []string, fn func(key string, c Chunk
 		plan := &queryPlan{keys: shardKeys}
 		for j, pos := range perShard[si] {
 			plan.pos = j
-			c, ok, err := sh.st.fetch(shardKeys[j], plan)
+			c, ok, err := sh.st.fetch(shardKeys[j], plan, nil)
 			if err != nil {
 				return err
 			}
@@ -401,6 +401,10 @@ func (ss *ShardedStore) CommitBatch() error {
 // shards the staged results buffer in memory until emission (the price
 // of re-establishing the global order across concurrently-merging
 // shards), so peak usage is proportional to the delta-affected data.
+//
+// A result is valid only until emit returns: the streaming path reuses
+// its slices for the next key (see MergeResult). Callers must not
+// depend on the shard count to keep one longer.
 func (ss *ShardedStore) Merge(delta []DeltaEdge, emit func(r MergeResult) error) error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -46,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 
 	"i2mapreduce/internal/fsutil"
@@ -101,8 +102,8 @@ const (
 	// MultiFixedWindow keeps one fixed-size window per batch.
 	MultiFixedWindow
 	// MultiDynamicWindow keeps one window per batch and sizes each read
-	// with Algorithm 1's gap heuristic over the query plan. This is
-	// i2MapReduce's default.
+	// with Algorithm 1's gap heuristic over the query plan. This is the
+	// paper's default; this store's is IndexOnly (see Options.Strategy).
 	MultiDynamicWindow
 )
 
@@ -133,7 +134,9 @@ type Options struct {
 	// Parallelism bounds the goroutines fanned out across shards by
 	// Merge, GetMany, Compact, and Checkpoint. Default GOMAXPROCS.
 	Parallelism int
-	// Strategy defaults to MultiDynamicWindow.
+	// Strategy selects how chunks are read. The zero value, and so the
+	// default every engine runs with, is IndexOnly: one exact read per
+	// chunk. The paper's default, MultiDynamicWindow, must be asked for.
 	Strategy ReadStrategy
 	// GapThreshold is Algorithm 1's T: a gap between consecutive
 	// queried chunks below T is worth reading through. Default 100 KB
@@ -228,11 +231,22 @@ type Store struct {
 
 	windows map[int]*window // per-batch read windows (strategy-dependent)
 	stats   Stats
+
+	// scratch holds the slices the merge loop reuses from key to key and
+	// from merge to merge; they grow to the largest chunk merged.
+	scratch struct {
+		old, merged []Edge
+		values      []string
+	}
 }
 
 const (
 	legacyDatName = "mrbg.dat"
 	legacyIdxName = "mrbg.idx"
+
+	// minEdgeBytes is the smallest encoded edge: 8 bytes of MK and a
+	// one-byte length of an empty V2.
+	minEdgeBytes = 9
 )
 
 // shardDatName / shardIdxName name shard i's files.
@@ -324,19 +338,35 @@ func encodeChunk(buf []byte, c Chunk) []byte {
 // decodeChunk parses one chunk frame from data. It returns the chunk
 // and the number of bytes consumed.
 func decodeChunk(data []byte) (Chunk, int, error) {
+	return decodeChunkInto(nil, data)
+}
+
+// decodeChunkInto is decodeChunk appending the edges to edges[:0], so a
+// caller that decodes many chunks in a row (the merge loop) reuses one
+// edge slice. The frame is copied once, into a single string; the
+// chunk's key and every V2 are substrings of it, so decoding costs one
+// allocation however many edges the chunk holds. data should therefore
+// be exactly the frame, as every caller in this package passes it.
+func decodeChunkInto(edges []Edge, data []byte) (Chunk, int, error) {
 	keyLen, n := binary.Uvarint(data)
 	if n <= 0 || keyLen > uint64(len(data)-n) {
 		return Chunk{}, 0, errors.New("mrbg: corrupt chunk key length")
 	}
-	pos := n
-	key := string(data[pos : pos+int(keyLen)])
-	pos += int(keyLen)
+	keyAt := n
+	pos := n + int(keyLen)
 	nEdges, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
 		return Chunk{}, 0, errors.New("mrbg: corrupt chunk edge count")
 	}
 	pos += n
-	edges := make([]Edge, 0, nEdges)
+	// An edge is at least 8 bytes of MK plus one length byte: a count the
+	// remaining bytes cannot hold is corruption, and must not size an
+	// allocation.
+	if nEdges > uint64(len(data)-pos)/minEdgeBytes {
+		return Chunk{}, 0, errors.New("mrbg: corrupt chunk edge count")
+	}
+	frame := string(data)
+	edges = slices.Grow(edges[:0], int(nEdges))
 	for i := uint64(0); i < nEdges; i++ {
 		if pos+8 > len(data) {
 			return Chunk{}, 0, errors.New("mrbg: corrupt edge MK")
@@ -348,11 +378,10 @@ func decodeChunk(data []byte) (Chunk, int, error) {
 			return Chunk{}, 0, errors.New("mrbg: corrupt edge value length")
 		}
 		pos += n
-		v := string(data[pos : pos+int(vLen)])
+		edges = append(edges, Edge{MK: mk, V2: frame[pos : pos+int(vLen)]})
 		pos += int(vLen)
-		edges = append(edges, Edge{MK: mk, V2: v})
 	}
-	return Chunk{Key: key, Edges: edges}, pos, nil
+	return Chunk{Key: frame[keyAt : keyAt+int(keyLen)], Edges: edges}, pos, nil
 }
 
 // appendChunk stages one chunk in the append buffer, recording its

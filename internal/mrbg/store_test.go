@@ -176,7 +176,7 @@ func TestMergeInsertUpdateDelete(t *testing.T) {
 	}
 	var results []MergeResult
 	if err := s.Merge(delta, func(r MergeResult) error {
-		results = append(results, r)
+		results = append(results, r.owned()) // a streamed result is scratch
 		return nil
 	}); err != nil {
 		t.Fatal(err)
