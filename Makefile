@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench-smoke bench-json bench-e2e bench-e2e-compare pprof serve-demo ci
+.PHONY: all build test race lint loc fuzz bench-smoke bench-json bench-e2e bench-e2e-compare pprof serve-demo ci
 
 all: build
 
@@ -41,6 +41,15 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Non-test Go lines per package and in total, outside benchmark/,
+# testdata/ and .bench_build/: the number a simplicity PR diffs against
+# its parent (CHANGES.md quotes it). Advisory: it fails nothing.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './.bench_build/*' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Fuzz the decode boundaries that accept bytes from disk: the block
 # segment format, the MRBG-Store chunk frame, the ingest staging log,
@@ -117,4 +126,4 @@ serve-demo:
 	$(GO) run ./cmd/i2mr-serve -addr :8080 -n 4000 -refresh-every 5s
 
 # Everything CI runs, in the same order.
-ci: build lint test race fuzz bench-smoke bench-e2e
+ci: build lint loc test race fuzz bench-smoke bench-e2e

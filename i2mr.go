@@ -112,15 +112,6 @@ type (
 	// Result reports one initial or incremental job.
 	Result = core.Result
 
-	// Config is the former name of IncrementalConfig.
-	//
-	// Deprecated: use IncrementalConfig.
-	Config = core.Config
-	// Runner is the former name of IncrementalRunner.
-	//
-	// Deprecated: use IncrementalRunner.
-	Runner = core.Runner
-
 	// StoreOptions tunes the MRBG-Store (read strategy, window sizes).
 	StoreOptions = mrbg.Options
 	// ResultStoreOptions tunes the one-step engine's durable result

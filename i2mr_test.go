@@ -87,7 +87,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := sys.WritePairs("graph", graph); err != nil {
 		t.Fatal(err)
 	}
-	runner, err := sys.NewIncremental(apps.PageRankSpec("api-pr", apps.DefaultDamping), Config{
+	runner, err := sys.NewIncremental(apps.PageRankSpec("api-pr", apps.DefaultDamping), IncrementalConfig{
 		NumPartitions: 2, MaxIterations: 100, Epsilon: 1e-8,
 	})
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -131,13 +132,45 @@ func New(cfg Config) (*Cluster, error) {
 // NumNodes returns the cluster size.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// NodeByID returns node i. It panics on an out-of-range ID because that
-// is always an engine bug, never a data condition.
-func (c *Cluster) NodeByID(i int) *Node {
-	if i < 0 || i >= len(c.nodes) {
-		panic(fmt.Sprintf("cluster: NodeByID(%d) with %d nodes", i, len(c.nodes)))
+// PartitionDir returns the scratch dir of the node hosting partition p.
+// Partition p lives on node p % NumNodes (the paper's Sec. 4.3
+// placement): its reduce task, preserved state and spill runs share that
+// node, and partition 0 is on node 0 at any cluster size.
+func (c *Cluster) PartitionDir(p int) string {
+	return c.nodes[p%len(c.nodes)].ScratchDir
+}
+
+// PartitionNodes returns the hosting node of each of n partitions, the
+// preferred-node list of a task wave that runs one task per partition.
+func (c *Cluster) PartitionNodes(n int) []int {
+	nodes := make([]int, n)
+	for p := range nodes {
+		nodes[p] = p % len(c.nodes)
 	}
-	return c.nodes[i]
+	return nodes
+}
+
+// LocalTo returns the preferred node of a task whose input block has
+// replicas on the given DFS nodes: the primary replica's node (data
+// locality), or -1 (any node) when there is none.
+func (c *Cluster) LocalTo(replicas []int) int {
+	if len(replicas) == 0 {
+		return -1
+	}
+	return replicas[0] % len(c.nodes)
+}
+
+// SafeName maps a job or spec name to one usable as a path element and
+// inside task names: anything but letters, digits, '-' and '_' becomes
+// '_'.
+func SafeName(s string) string {
+	return strings.Map(func(c rune) rune {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+			return c
+		}
+		return '_'
+	}, s)
 }
 
 // Slots returns the per-node slot count.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,27 +36,28 @@ func TestDefaultsAndScratchDirs(t *testing.T) {
 	if c.Slots() != 2 {
 		t.Fatalf("Slots = %d", c.Slots())
 	}
+	// Partitions 0..2 live on nodes 0..2, each with its own scratch dir;
+	// partition 3 wraps around to node 0.
 	seen := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		n := c.NodeByID(i)
-		if n.ID != i {
-			t.Fatalf("NodeByID(%d).ID = %d", i, n.ID)
+	for p := 0; p < 3; p++ {
+		dir := c.PartitionDir(p)
+		if dir == "" || seen[dir] {
+			t.Fatalf("node %d scratch dir %q duplicated or empty", p, dir)
 		}
-		if n.ScratchDir == "" || seen[n.ScratchDir] {
-			t.Fatalf("node %d scratch dir %q duplicated or empty", i, n.ScratchDir)
-		}
-		seen[n.ScratchDir] = true
+		seen[dir] = true
 	}
-}
-
-func TestNodeByIDPanics(t *testing.T) {
-	c := newCluster(t, Config{Nodes: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NodeByID(5) did not panic")
-		}
-	}()
-	c.NodeByID(5)
+	if c.PartitionDir(3) != c.PartitionDir(0) {
+		t.Fatalf("partition 3 on %q, want node 0's %q", c.PartitionDir(3), c.PartitionDir(0))
+	}
+	if got := c.PartitionNodes(4); !reflect.DeepEqual(got, []int{0, 1, 2, 0}) {
+		t.Fatalf("PartitionNodes(4) = %v", got)
+	}
+	if c.LocalTo(nil) != -1 || c.LocalTo([]int{5, 1}) != 2 {
+		t.Fatalf("LocalTo = %d / %d, want -1 / 2", c.LocalTo(nil), c.LocalTo([]int{5, 1}))
+	}
+	if got := SafeName("a b/c:é-_Z9"); got != "a_b_c__-_Z9" {
+		t.Fatalf("SafeName = %q", got)
+	}
 }
 
 func TestRunExecutesAllTasks(t *testing.T) {

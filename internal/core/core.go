@@ -261,16 +261,6 @@ func NewRunner(eng *mr.Engine, spec Spec, cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-func sanitize(s string) string {
-	return strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			return c
-		}
-		return '_'
-	}, s)
-}
-
 // Close shuts down the background compaction scheduler (waiting out any
 // in-flight compaction, since it runs against these stores), then
 // releases the MRBG-Stores and the durable state stores.
@@ -359,15 +349,13 @@ func (r *Runner) partitionOf(sk string) int {
 
 // structPath names partition p's cached structure file.
 func (r *Runner) structPath(p int) string {
-	node := r.eng.Cluster().NodeByID(p % r.eng.Cluster().NumNodes())
-	return filepath.Join(node.ScratchDir, "core", sanitize(r.spec.Name), fmt.Sprintf("part-%04d.struct", p))
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), "core", cluster.SafeName(r.spec.Name), fmt.Sprintf("part-%04d.struct", p))
 }
 
 // shuffleDir names the node-local spill directory of one iteration's
 // partition p (jobSeq disambiguates iterations across jobs).
 func (r *Runner) shuffleDir(it, p int) string {
-	node := r.eng.Cluster().NodeByID(p % r.eng.Cluster().NumNodes())
-	return filepath.Join(node.ScratchDir, "core-shuffle", sanitize(r.spec.Name),
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), "core-shuffle", cluster.SafeName(r.spec.Name),
 		fmt.Sprintf("j%d-it%03d-part-%04d", r.jobSeq, it, p))
 }
 
@@ -497,7 +485,7 @@ func (r *Runner) RunInitial(input string) (*Result, error) {
 	// so its presence is the authoritative completion marker. Durable
 	// state WITHOUT it is the partial work of an initial run that died
 	// mid-way; discard it so this run starts clean.
-	if _, _, _, _, ok, err := readJobMeta(r.jobMetaPath()); err != nil {
+	if _, ok, err := engine.ReadJobMeta(r.jobMetaPath()); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, fmt.Errorf("core: computation %q already has preserved state; use Open to resume or point the system at a fresh work dir", r.spec.Name)
@@ -616,7 +604,7 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 	thr := r.threshold()
 
 	err := shuffle.Iteration{
-		Name:         fmt.Sprintf("%s/j%d-it%03d", sanitize(r.spec.Name), r.jobSeq, it),
+		Name:         fmt.Sprintf("%s/j%d-it%03d", cluster.SafeName(r.spec.Name), r.jobSeq, it),
 		Partitions:   r.n,
 		NumNodes:     r.eng.Cluster().NumNodes(),
 		RunTasks:     r.runTasks,
@@ -625,7 +613,7 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 		SkewRatio:    r.cfg.SkewRatio,
 		SkewFanOut:   r.cfg.SkewFanOut,
 		Report:       rep,
-		MapPartition: func(p int, emit func(k2, v2 string)) (int64, error) {
+		MapTask: func(p int, emit func(k2, v2 string)) (int64, error) {
 			var repDK, repDV string
 			if r.spec.ReplicateState {
 				g := r.globalView()
@@ -693,7 +681,7 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 			statMu.Unlock()
 			return nil
 		},
-	}.Run()
+	}.Run(r.eng.Cluster().PartitionNodes(r.n))
 	if err != nil {
 		return IterStats{}, fmt.Errorf("core: full iteration %d: %w", it, err)
 	}
@@ -756,7 +744,7 @@ func (r *Runner) preservePass() error {
 	for p := 0; p < r.n; p++ {
 		p := p
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-preserve/map-%04d", sanitize(r.spec.Name), r.jobSeq, p),
+			Name:      fmt.Sprintf("%s/j%d-preserve/map-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				local := make([][]mrbg.DeltaEdge, r.n)
@@ -788,7 +776,7 @@ func (r *Runner) preservePass() error {
 	for p := 0; p < r.n; p++ {
 		p := p
 		stasks = append(stasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-preserve/store-%04d", sanitize(r.spec.Name), r.jobSeq, p),
+			Name:      fmt.Sprintf("%s/j%d-preserve/store-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				es := edges[p]

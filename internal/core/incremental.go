@@ -240,7 +240,7 @@ func (r *Runner) mergeDeltaEdges(deltaEdges [][]mrbg.DeltaEdge) error {
 		}
 		slices.SortStableFunc(deltaEdges[p], func(a, b mrbg.DeltaEdge) int { return strings.Compare(a.Key, b.Key) })
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-fullmerge-%04d", sanitize(r.spec.Name), r.jobSeq, p),
+			Name:      fmt.Sprintf("%s/j%d-fullmerge-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				return r.stores[p].Merge(deltaEdges[p], func(res mrbg.MergeResult) error {
@@ -341,7 +341,7 @@ func (r *Runner) mapStructureDelta(deltas []kv.Delta, rep *metrics.Report) ([][]
 			continue
 		}
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-it001/deltamap-%04d", sanitize(r.spec.Name), r.jobSeq, p),
+			Name:      fmt.Sprintf("%s/j%d-it001/deltamap-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				local := make([][]mrbg.DeltaEdge, r.n)
@@ -398,7 +398,7 @@ func (r *Runner) mapStateDelta(props *propagated, rep *metrics.Report) ([][]mrbg
 			continue
 		}
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-statemap-%04d", sanitize(r.spec.Name), r.jobSeq, p),
+			Name:      fmt.Sprintf("%s/j%d-statemap-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				dks := make([]string, 0, len(props.byPart[p]))
@@ -467,7 +467,7 @@ func (r *Runner) runIncrementalIteration(it int, deltaEdges [][]mrbg.DeltaEdge) 
 	for p := 0; p < r.n; p++ {
 		p := p
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-it%03d/reduce-%04d", sanitize(r.spec.Name), r.jobSeq, it, p),
+			Name:      fmt.Sprintf("%s/j%d-it%03d/reduce-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, it, p),
 			Preferred: p % r.eng.Cluster().NumNodes(),
 			Run: func(tc cluster.TaskContext) error {
 				t0 := time.Now()

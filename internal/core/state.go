@@ -31,6 +31,8 @@ import (
 	"path/filepath"
 	"strings"
 
+	"i2mapreduce/internal/cluster"
+	"i2mapreduce/internal/engine"
 	"i2mapreduce/internal/fsutil"
 	"i2mapreduce/internal/mr"
 	"i2mapreduce/internal/mrbg"
@@ -44,41 +46,34 @@ const (
 	modeReplicated  = "replicated"
 )
 
-// nodeDir returns the scratch dir of the node hosting partition p.
-func (r *Runner) nodeDir(p int) string {
-	cl := r.eng.Cluster()
-	return cl.NodeByID(p % cl.NumNodes()).ScratchDir
+// stateRoot is the computation's durable-state directory on the node
+// hosting partition p. Partition 0's is under node 0's scratch dir,
+// which exists at any cluster size: the runner-level files live there.
+func (r *Runner) stateRoot(p int) string {
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), "core-state", cluster.SafeName(r.spec.Name))
 }
 
 // stateKVDir names partition p's durable store of the given kind
 // ("state" or "last"), co-located with the node that runs the
 // partition's reduce tasks.
 func (r *Runner) stateKVDir(p int, kind string) string {
-	return filepath.Join(r.nodeDir(p), "core-state", sanitize(r.spec.Name),
-		fmt.Sprintf("part-%04d", p), kind)
+	return filepath.Join(r.stateRoot(p), fmt.Sprintf("part-%04d", p), kind)
 }
 
 // globalKVDir names the replicated-state store (ReplicateState specs).
-func (r *Runner) globalKVDir() string {
-	return filepath.Join(r.nodeDir(0), "core-state", sanitize(r.spec.Name), "global")
-}
+func (r *Runner) globalKVDir() string { return filepath.Join(r.stateRoot(0), "global") }
 
-// jobMetaPath names the runner-level completion marker. It lives under
-// node 0's scratch dir, which exists at any cluster size.
-func (r *Runner) jobMetaPath() string {
-	return filepath.Join(r.nodeDir(0), "core-state", sanitize(r.spec.Name), "job.meta")
-}
+// jobMetaPath names the runner-level completion marker.
+func (r *Runner) jobMetaPath() string { return filepath.Join(r.stateRoot(0), "job.meta") }
 
 // refreshIntentPath names the in-progress refresh marker bracketing
 // every RunIncremental (see RunIncremental's checkpoint bracket).
-func (r *Runner) refreshIntentPath() string {
-	return filepath.Join(r.nodeDir(0), "core-state", sanitize(r.spec.Name), "refresh.intent")
-}
+func (r *Runner) refreshIntentPath() string { return filepath.Join(r.stateRoot(0), "refresh.intent") }
 
 // storeOpts returns partition p's MRBG-Store options.
 func (r *Runner) storeOpts(p int) mrbg.Options {
 	opts := r.cfg.StoreOpts
-	opts.Dir = filepath.Join(r.nodeDir(p), "core-mrbg", sanitize(r.spec.Name), fmt.Sprintf("part-%04d", p))
+	opts.Dir = filepath.Join(r.eng.Cluster().PartitionDir(p), "core-mrbg", cluster.SafeName(r.spec.Name), fmt.Sprintf("part-%04d", p))
 	return opts
 }
 
@@ -257,52 +252,11 @@ func (r *Runner) mrbgMode() string {
 // written when RunInitial finishes and refreshed after every completed
 // RunIncremental.
 func (r *Runner) writeJobMeta() error {
-	err := fsutil.WriteFileAtomic(r.jobMetaPath(), []byte(fmt.Sprintf(
-		"partitions=%d\nmode=%s\nmrbg=%s\njobs=%d\n", r.n, r.jobMode(), r.mrbgMode(), r.jobSeq)))
+	err := engine.JobMeta{Partitions: r.n, Mode: r.jobMode(), MRBG: r.mrbgMode(), Jobs: int64(r.jobSeq)}.Write(r.jobMetaPath())
 	if err == nil {
 		r.jobsDone.Store(int64(r.jobSeq))
 	}
 	return err
-}
-
-// readJobMeta loads the completion marker; ok=false when none exists.
-func readJobMeta(path string) (parts int, mode, mrbg string, jobs int, ok bool, err error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, "", "", 0, false, nil
-	}
-	if err != nil {
-		return 0, "", "", 0, false, err
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, found := strings.Cut(line, "=")
-		if !found {
-			return 0, "", "", 0, false, fmt.Errorf("core: corrupt job meta line %q", line)
-		}
-		switch k {
-		case "partitions":
-			if _, err := fmt.Sscanf(v, "%d", &parts); err != nil {
-				return 0, "", "", 0, false, fmt.Errorf("core: corrupt job meta partitions %q", v)
-			}
-		case "mode":
-			mode = v
-		case "mrbg":
-			mrbg = v
-		case "jobs":
-			if _, err := fmt.Sscanf(v, "%d", &jobs); err != nil {
-				return 0, "", "", 0, false, fmt.Errorf("core: corrupt job meta jobs %q", v)
-			}
-		default:
-			return 0, "", "", 0, false, fmt.Errorf("core: unknown job meta key %q", k)
-		}
-	}
-	if parts <= 0 || (mode != modePartitioned && mode != modeReplicated) || (mrbg != "on" && mrbg != "off") {
-		return 0, "", "", 0, false, fmt.Errorf("core: corrupt job meta %q", string(b))
-	}
-	return parts, mode, mrbg, jobs, true, nil
 }
 
 // markRefreshIntent durably records that a refresh (and, as iterations
@@ -314,20 +268,6 @@ func readJobMeta(path string) (parts int, mode, mrbg string, jobs int, ok bool, 
 func (r *Runner) markRefreshIntent(iteration int) error {
 	return fsutil.WriteFileAtomic(r.refreshIntentPath(),
 		[]byte(fmt.Sprintf("job=%d\niteration=%d\n", r.jobSeq, iteration)))
-}
-
-// intentJob extracts the job number from a refresh.intent payload
-// (-1 if absent/corrupt, which never matches a valid meta jobs count).
-func intentJob(s string) int {
-	for _, line := range strings.Split(s, "\n") {
-		if v, found := strings.CutPrefix(line, "job="); found {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-				return n
-			}
-		}
-	}
-	return -1
 }
 
 // clearRefreshIntent removes the marker after a completed refresh.
@@ -363,21 +303,21 @@ func Open(eng *mr.Engine, spec Spec, cfg Config) (*Runner, error) {
 // attach validates the preserved state against this runner's topology
 // and loads it.
 func (r *Runner) attach() error {
-	parts, mode, mrbgM, jobs, ok, err := readJobMeta(r.jobMetaPath())
+	meta, ok, err := engine.ReadJobMeta(r.jobMetaPath())
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("core: computation %q has no preserved state here (RunInitial never completed under this scratch root)", r.spec.Name)
 	}
-	if parts != r.n {
-		return fmt.Errorf("core: computation %q was preserved with %d partitions, cannot resume with %d", r.spec.Name, parts, r.n)
+	if meta.Partitions != r.n {
+		return fmt.Errorf("core: computation %q was preserved with %d partitions, cannot resume with %d", r.spec.Name, meta.Partitions, r.n)
 	}
-	if mode != r.jobMode() {
-		return fmt.Errorf("core: computation %q was preserved in %s mode, cannot resume in %s mode", r.spec.Name, mode, r.jobMode())
+	if meta.Mode != r.jobMode() {
+		return fmt.Errorf("core: computation %q was preserved in %s mode, cannot resume in %s mode", r.spec.Name, meta.Mode, r.jobMode())
 	}
-	if mrbgM != r.mrbgMode() {
-		return fmt.Errorf("core: computation %q was preserved with MRBGraph maintenance %s, cannot resume with it %s", r.spec.Name, mrbgM, r.mrbgMode())
+	if meta.MRBG != r.mrbgMode() {
+		return fmt.Errorf("core: computation %q was preserved with MRBGraph maintenance %s, cannot resume with it %s", r.spec.Name, meta.MRBG, r.mrbgMode())
 	}
 	switch intent, err := os.ReadFile(r.refreshIntentPath()); {
 	case err == nil:
@@ -387,7 +327,7 @@ func (r *Runner) attach() error {
 		// marker. That state is fully consistent; clear the marker and
 		// resume. Any other surviving marker means stores at
 		// inconsistent iterations.
-		if intentJob(string(intent)) == jobs {
+		if engine.IntentJob(string(intent)) == meta.Jobs {
 			if err := r.clearRefreshIntent(); err != nil {
 				return err
 			}
@@ -465,8 +405,8 @@ func (r *Runner) attach() error {
 			return fmt.Errorf("core: computation %q is missing its preserved MRBGraph (the core-mrbg stores are empty); cannot resume safely", r.spec.Name)
 		}
 	}
-	r.jobSeq = jobs
-	r.jobsDone.Store(int64(jobs))
+	r.jobSeq = int(meta.Jobs)
+	r.jobsDone.Store(meta.Jobs)
 	r.initialDone = true
 	return nil
 }
@@ -511,14 +451,7 @@ func (r *Runner) resetStaleState() error {
 		if st.Len() == 0 {
 			continue
 		}
-		if err := st.Close(); err != nil {
-			return err
-		}
-		opts := r.storeOpts(p)
-		if err := os.RemoveAll(opts.Dir); err != nil {
-			return err
-		}
-		nst, err := mrbg.Open(opts)
+		nst, err := st.Reset()
 		if err != nil {
 			return fmt.Errorf("core: resetting stale store %d: %w", p, err)
 		}

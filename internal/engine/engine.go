@@ -6,9 +6,13 @@
 // (internal/plan), the serving layer (internal/serve), and the CLIs can
 // dispatch engines uniformly instead of type-switching on them.
 //
+// It also owns what the two refreshable engines persist identically:
+// the job.meta completion marker and the refresh.intent payload
+// (meta.go).
+//
 // The package sits below the engines in the import graph (it depends
-// only on internal/metrics), which is what lets both engines implement
-// Refresher without a cycle.
+// only on internal/metrics and internal/fsutil), which is what lets both
+// engines implement Refresher without a cycle.
 package engine
 
 import (

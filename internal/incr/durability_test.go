@@ -195,6 +195,70 @@ func TestDeltaRefreshByteIdenticalAcrossBudgets(t *testing.T) {
 	}
 }
 
+// TestRunInitialStateIndependentOfBlockSize runs the initial job over one
+// input at two DFS block sizes — several map tasks versus one — and
+// compares the preserved state byte for byte: the MRBG-Store data files
+// and the result segments must not depend on how the input was split.
+func TestRunInitialStateIndependentOfBlockSize(t *testing.T) {
+	initial, _, _ := graphRounds(11, 600, 0)
+	preserved := func(blockSize int64) (map[string][]byte, int64) {
+		root := t.TempDir()
+		fs, err := dfs.New(dfs.Config{Root: filepath.Join(root, "dfs"), BlockSize: blockSize, Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(cluster.Config{Nodes: 2, ScratchRoot: filepath.Join(root, "scratch")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := mr.NewEngine(fs, cl)
+		if err := eng.FS().WriteAllPairs("g0", initial); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(eng, Job{Name: "blocks", Mapper: edgeWeightMapper, Reducer: sumWeightsReducer, NumReducers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.RunInitial("g0", "o0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		scratch := filepath.Join(root, "scratch")
+		err = filepath.WalkDir(scratch, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || (filepath.Ext(path) != ".dat" && filepath.Ext(path) != ".seg") {
+				return err
+			}
+			rel, _ := filepath.Rel(scratch, path)
+			files[rel], err = os.ReadFile(path)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files, rep.Counter(metrics.CounterMapTasks)
+	}
+	small, smallTasks := preserved(4 << 10)
+	large, largeTasks := preserved(1 << 20)
+	if smallTasks < 2 || largeTasks != 1 {
+		t.Fatalf("map tasks = %d at 4 KiB blocks, %d at 1 MiB; want several and one", smallTasks, largeTasks)
+	}
+	if len(small) < 6 { // 3 partitions x (one .dat + one .seg)
+		t.Fatalf("found only %d preserved files", len(small))
+	}
+	if !reflect.DeepEqual(small, large) {
+		for name := range small {
+			if !reflect.DeepEqual(small[name], large[name]) {
+				t.Errorf("%s differs between %d map tasks and 1", name, smallTasks)
+			}
+		}
+		t.Fatalf("preserved file sets differ: %d files vs %d", len(small), len(large))
+	}
+}
+
 // TestRunDeltaRewritesOnlyDirtyPartitions asserts the refresh no longer
 // materializes the full result set: a one-record delta re-serializes
 // only the partitions its affected K2s live in, republishing the rest

@@ -28,16 +28,14 @@
 package incr
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,7 +155,7 @@ func Open(eng *mr.Engine, job Job) (*Runner, error) {
 	// lives under node 0's scratch dir, so the meta is findable under
 	// any cluster size. Resuming with a different count would silently
 	// drop (or re-route) preserved result groups.
-	preserved, mode, jobs, ok, err := readJobMeta(r.jobMetaPath())
+	meta, ok, err := engine.ReadJobMeta(r.jobMetaPath())
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -166,13 +164,13 @@ func Open(eng *mr.Engine, job Job) (*Runner, error) {
 		r.Close()
 		return nil, fmt.Errorf("incr: job %q has no preserved state here (RunInitial never completed under this scratch root)", job.Name)
 	}
-	if preserved != r.job.NumReducers {
+	if meta.Partitions != r.job.NumReducers {
 		r.Close()
-		return nil, fmt.Errorf("incr: job %q was preserved with %d partitions, cannot resume with %d", job.Name, preserved, r.job.NumReducers)
+		return nil, fmt.Errorf("incr: job %q was preserved with %d partitions, cannot resume with %d", job.Name, meta.Partitions, r.job.NumReducers)
 	}
-	if mode != r.jobMode() {
+	if meta.Mode != r.jobMode() {
 		r.Close()
-		return nil, fmt.Errorf("incr: job %q was preserved in %s mode, cannot resume in %s mode", job.Name, mode, r.jobMode())
+		return nil, fmt.Errorf("incr: job %q was preserved in %s mode, cannot resume in %s mode", job.Name, meta.Mode, r.jobMode())
 	}
 	for p, res := range r.res {
 		if !res.Initialized() {
@@ -187,7 +185,7 @@ func Open(eng *mr.Engine, job Job) (*Runner, error) {
 			// completed count belongs to a refresh that fully committed —
 			// the process merely died between the stamp and the unlink.
 			// Any other surviving marker means half-applied state.
-			if mode == "accumulator" && intentJob(string(intent)) == jobs {
+			if meta.Mode == "accumulator" && engine.IntentJob(string(intent)) == meta.Jobs {
 				if err := os.Remove(r.refreshIntentPath(p)); err != nil {
 					r.Close()
 					return nil, err
@@ -205,24 +203,9 @@ func Open(eng *mr.Engine, job Job) (*Runner, error) {
 			return nil, fmt.Errorf("incr: probing refresh marker for partition %d: %w", p, err)
 		}
 	}
-	r.jobs.Store(jobs)
+	r.jobs.Store(meta.Jobs)
 	r.initial = true
 	return r, nil
-}
-
-// intentJob extracts the job number from a refresh.intent payload
-// written as "job=N\n"; -1 for any other payload (fine-grain markers
-// carry no job number and are never benign).
-func intentJob(s string) int64 {
-	v, ok := strings.CutPrefix(strings.TrimSpace(s), "job=")
-	if !ok {
-		return -1
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
 }
 
 // jobMode names the preservation mode for the job meta.
@@ -252,50 +235,7 @@ func (r *Runner) jobMetaPath() string {
 // initial run, then every RunDelta), so an external commit protocol can
 // compare it across a crash.
 func (r *Runner) writeJobMeta(jobs int64) error {
-	return fsutil.WriteFileAtomic(r.jobMetaPath(),
-		[]byte(fmt.Sprintf("partitions=%d\nmode=%s\njobs=%d\n", r.job.NumReducers, r.jobMode(), jobs)))
-}
-
-// readJobMeta loads the preserved partition count, mode, and completed
-// job count; ok=false when no meta exists. Meta written before the
-// jobs= key existed reads as jobs=1 (the initial run the meta's
-// presence already attests to).
-func readJobMeta(path string) (parts int, mode string, jobs int64, ok bool, err error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, "", 0, false, nil
-	}
-	if err != nil {
-		return 0, "", 0, false, err
-	}
-	jobs = 1
-	for _, line := range strings.Split(string(b), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, found := strings.Cut(line, "=")
-		if !found {
-			return 0, "", 0, false, fmt.Errorf("incr: corrupt job meta line %q", line)
-		}
-		switch k {
-		case "partitions":
-			if _, err := fmt.Sscanf(v, "%d", &parts); err != nil {
-				return 0, "", 0, false, fmt.Errorf("incr: corrupt job meta partitions %q", v)
-			}
-		case "mode":
-			mode = v
-		case "jobs":
-			if jobs, err = strconv.ParseInt(v, 10, 64); err != nil || jobs < 1 {
-				return 0, "", 0, false, fmt.Errorf("incr: corrupt job meta jobs %q", v)
-			}
-		default:
-			return 0, "", 0, false, fmt.Errorf("incr: unknown job meta key %q", k)
-		}
-	}
-	if parts <= 0 || (mode != "finegrain" && mode != "accumulator") {
-		return 0, "", 0, false, fmt.Errorf("incr: corrupt job meta %q", string(b))
-	}
-	return parts, mode, jobs, true, nil
+	return engine.JobMeta{Partitions: r.job.NumReducers, Mode: r.jobMode(), Jobs: jobs}.Write(r.jobMetaPath())
 }
 
 func newRunner(eng *mr.Engine, job Job) (*Runner, error) {
@@ -336,7 +276,9 @@ func newRunner(eng *mr.Engine, job Job) (*Runner, error) {
 	if job.Accumulate == nil {
 		r.stores = make([]*mrbg.ShardedStore, job.NumReducers)
 		err := par.Do(job.NumReducers, r.ioPar, func(p int) error {
-			st, err := mrbg.Open(r.storeOpts(p))
+			opts := job.StoreOpts
+			opts.Dir = r.partDir("mrbg", p)
+			st, err := mrbg.Open(opts)
 			if err != nil {
 				return fmt.Errorf("incr: opening store %d: %w", p, err)
 			}
@@ -351,32 +293,13 @@ func newRunner(eng *mr.Engine, job Job) (*Runner, error) {
 	return r, nil
 }
 
-// storeOpts returns partition p's MRBG-Store options.
-func (r *Runner) storeOpts(p int) mrbg.Options {
-	opts := r.job.StoreOpts
-	opts.Dir = filepath.Join(r.nodeDir(p), "mrbg", sanitize(r.job.Name), fmt.Sprintf("part-%04d", p))
-	return opts
-}
-
-// nodeDir returns the scratch dir of the node hosting partition p.
-func (r *Runner) nodeDir(p int) string {
-	cl := r.eng.Cluster()
-	return cl.NodeByID(p % cl.NumNodes()).ScratchDir
-}
-
 // resultDir names partition p's result store directory.
-func (r *Runner) resultDir(p int) string {
-	return filepath.Join(r.nodeDir(p), "results", sanitize(r.job.Name), fmt.Sprintf("part-%04d", p))
-}
+func (r *Runner) resultDir(p int) string { return r.partDir("results", p) }
 
-func sanitize(s string) string {
-	return strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			return c
-		}
-		return '_'
-	}, s)
+// partDir names partition p's directory of the given kind on the node
+// hosting the partition.
+func (r *Runner) partDir(kind string, p int) string {
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), kind, cluster.SafeName(r.job.Name), fmt.Sprintf("part-%04d", p))
 }
 
 // Close shuts down the background compaction scheduler (waiting out any
@@ -520,7 +443,7 @@ func (r *Runner) RunInitial(input, output string) (*metrics.Report, error) {
 	// checkpointed WITHOUT it is the partial work of an initial run that
 	// died mid-way; discard it so this run starts clean rather than
 	// overlaying stale results or phantom MRBGraph chunks.
-	if _, _, _, ok, err := readJobMeta(r.jobMetaPath()); err != nil {
+	if _, ok, err := engine.ReadJobMeta(r.jobMetaPath()); err != nil {
 		return nil, err
 	} else if ok {
 		return nil, fmt.Errorf("incr: job %q already has preserved results; use Open to resume or point the system at a fresh work dir", r.job.Name)
@@ -539,14 +462,7 @@ func (r *Runner) RunInitial(input, output string) (*metrics.Report, error) {
 		if st.Len() == 0 {
 			continue
 		}
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
-		opts := r.storeOpts(p)
-		if err := os.RemoveAll(opts.Dir); err != nil {
-			return nil, err
-		}
-		nst, err := mrbg.Open(opts)
+		nst, err := st.Reset()
 		if err != nil {
 			return nil, fmt.Errorf("incr: resetting stale store %d: %w", p, err)
 		}
@@ -620,11 +536,10 @@ func (r *Runner) runInitialFineGrain(input, output string) (*metrics.Report, err
 					}
 					chunk.Edges = append(chunk.Edges, mrbg.Edge{MK: mk, V2: v2})
 				}
-				// Values arrive MK-sorted per map-task run but only
-				// key-merged across runs; restore the store's global
-				// MK order and derive the Reduce value list from it so
-				// re-reduction after a merge sees the same ordering.
-				slices.SortFunc(chunk.Edges, func(a, b mrbg.Edge) int { return cmp.Compare(a.MK, b.MK) })
+				// The shuffle delivers a group's values in kv.SortPairs
+				// order, and the fixed-width hex MK prefix makes that the
+				// store's MK order: the Reduce value list derived from it
+				// is the one re-reduction after a merge will see.
 				vals := chunk.Values()
 				if err := r.stores[p].Put(chunk); err != nil {
 					return err
@@ -723,246 +638,201 @@ func (r *Runner) RunDelta(deltaInput, output string) (*metrics.Report, error) {
 	return r.runDeltaFineGrain(deltaInput, output)
 }
 
-// newDeltaBuffer builds the streaming shuffle buffer for one RunDelta:
-// lock-striped per-partition buffers whose memory footprint is bounded
-// by Job.ShuffleMemoryBudget, spilling sorted runs into the scratch dir
-// of the node that will run each partition's incremental reduce task.
-func (r *Runner) newDeltaBuffer(rep *metrics.Report) (*shuffle.Buffer, error) {
-	seq := r.deltaSeq.Add(1)
-	return shuffle.New(shuffle.Config{
+// runDelta runs one delta refresh on the shared Map -> shuffle -> Reduce
+// driver (internal/shuffle): the incremental Map computation invokes
+// mapRecord for every delta record, one task per delta input block
+// scheduled data-locally (paper Sec. 3.3, "Incremental Map Computation
+// to Obtain the Delta MRBGraph"), and one reduce task per partition,
+// co-located with its stores, runs reducePartition over the partition's
+// merged delta stream. Intermediate memory is bounded by
+// Job.ShuffleMemoryBudget, spilling sorted runs into the scratch dir of
+// the node that runs each partition's reduce task. seq is the record's
+// position in the delta file (block index in the high bits, record
+// index within the block in the low), so mapRecord can preserve
+// delta-file apply order through the shuffle's value sort.
+func (r *Runner) runDelta(deltaInput string, rep *metrics.Report,
+	mapRecord func(d kv.Delta, seq uint64, emit func(k2, v2 string)) error,
+	reducePartition func(p int, groups shuffle.GroupSource) error) error {
+	fs, cl := r.eng.FS(), r.eng.Cluster()
+	fi, err := fs.Stat(deltaInput)
+	if err != nil {
+		return fmt.Errorf("incr: delta input: %w", err)
+	}
+	mapNodes := make([]int, len(fi.Blocks))
+	for b := range fi.Blocks {
+		mapNodes[b] = cl.LocalTo(fi.Blocks[b].Nodes)
+	}
+	name := cluster.SafeName(r.job.Name) + "-delta"
+	refresh := r.deltaSeq.Add(1)
+	err = shuffle.Iteration{
+		Name:         name,
 		Partitions:   r.job.NumReducers,
+		NumNodes:     cl.NumNodes(),
+		RunTasks:     func(ts []cluster.Task) error { _, err := cl.Run(ts); return err },
 		MemoryBudget: r.job.ShuffleMemoryBudget,
-		// The refresh sequence number lives in the leaf (which
-		// Buffer.Close removes), not in a per-refresh parent that would
+		// The refresh sequence number lives in the leaf (which the
+		// shuffle removes), not in a per-refresh parent that would
 		// accumulate one empty directory per refresh on a long-lived
 		// runner.
 		ScratchDir: func(p int) string {
-			return filepath.Join(r.nodeDir(p), "shuffle", sanitize(r.job.Name)+"-delta",
-				fmt.Sprintf("seq%06d-part-%04d", seq, p))
+			return filepath.Join(cl.PartitionDir(p), "shuffle", name, fmt.Sprintf("seq%06d-part-%04d", refresh, p))
 		},
 		SkewRatio:  r.job.SkewRatio,
 		SkewFanOut: r.job.SkewFanOut,
 		Report:     rep,
-	})
+		MapTask: func(b int, emit func(k2, v2 string)) (int64, error) {
+			br, err := fs.OpenBlock(deltaInput, b)
+			if err != nil {
+				return 0, err
+			}
+			defer br.Close()
+			var recs int64
+			for {
+				d, err := br.ReadDelta()
+				if err == io.EOF {
+					return recs, nil
+				}
+				if err == nil {
+					recs++
+					err = mapRecord(d, uint64(b)<<32|uint64(recs-1), emit)
+				}
+				if err != nil {
+					return 0, err
+				}
+			}
+		},
+		ReducePartition: reducePartition,
+	}.Run(mapNodes)
+	if err != nil {
+		return fmt.Errorf("incr: delta %w", err)
+	}
+	// Every record the delta Map emitted is one delta MRBGraph edge.
+	rep.Add(metrics.CounterDeltaEdges, rep.Counter(metrics.CounterMapRecordsOut))
+	return nil
 }
 
-// mapDelta runs the incremental Map computation: Map is invoked for
-// every delta record and the emitted records stream into buf, one task
-// per delta input block (paper Sec. 3.3, "Incremental Map Computation
-// to Obtain the Delta MRBGraph"). emit adapts one delta record's Map
-// emissions to shuffle pairs (the fine-grain path tags them as delta
-// MRBGraph edges; the accumulator path passes them through); seq is the
-// record's position in the delta file (block index in the high bits,
-// record index within the block in the low), so emitters can preserve
-// delta-file apply order through the shuffle's value sort.
-func (r *Runner) mapDelta(deltaInput string, buf *shuffle.Buffer, rep *metrics.Report,
-	emit func(d kv.Delta, seq uint64, em *shuffle.Emitter) error) error {
-	fi, err := r.eng.FS().Stat(deltaInput)
-	if err != nil {
-		return fmt.Errorf("incr: delta input: %w", err)
-	}
-	tasks := make([]cluster.Task, 0, len(fi.Blocks))
-	for b := range fi.Blocks {
-		b := b
-		pref := -1
-		if len(fi.Blocks[b].Nodes) > 0 {
-			pref = fi.Blocks[b].Nodes[0] % r.eng.Cluster().NumNodes()
-		}
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s-delta/map-%04d", sanitize(r.job.Name), b),
-			Preferred: pref,
-			Run: func(tc cluster.TaskContext) error {
-				start := time.Now()
-				br, err := r.eng.FS().OpenBlock(deltaInput, b)
-				if err != nil {
-					return err
-				}
-				defer br.Close()
-				// Stage through a per-attempt Emitter: a failed attempt
-				// publishes nothing, so the cluster's retry cannot
-				// duplicate delta edges.
-				em := buf.NewEmitter()
-				var recs int64
-				for {
-					d, err := br.ReadDelta()
-					if err == io.EOF {
-						break
-					}
-					if err == nil {
-						recs++
-						err = emit(d, uint64(b)<<32|uint64(recs-1), em)
-					}
-					if err != nil {
-						em.Discard()
-						return err
-					}
-				}
-				if err := em.Publish(); err != nil {
-					return err
-				}
-				rep.Add(metrics.CounterMapRecordsIn, recs)
-				rep.AddStage(metrics.StageMap, time.Since(start))
-				return nil
-			},
-		})
-	}
-	if _, err := r.eng.Cluster().Run(tasks); err != nil {
-		return fmt.Errorf("incr: delta map phase: %w", err)
-	}
-	if err := buf.FinishMap(); err != nil {
-		return fmt.Errorf("incr: delta map spill: %w", err)
-	}
-	// Spill sorting happened inside the timed map windows but is
-	// reported as StageSort; rebalance so Total() counts it once.
-	rep.AddStage(metrics.StageMap, -buf.SortDuration())
-	rep.Add(metrics.CounterDeltaEdges, buf.Records())
-	rep.Add(metrics.CounterShuffleBytes, buf.Bytes())
-	return nil
+// splitCheckpoint moves d, the time a reduce task spent in its
+// checkpoint, out of the reduce window the driver times and into
+// StageCheckpoint.
+func splitCheckpoint(rep *metrics.Report, d time.Duration) {
+	rep.AddStage(metrics.StageCheckpoint, d)
+	rep.AddStage(metrics.StageReduce, -d)
 }
 
 // runDeltaFineGrain performs incremental Reduce computation through the
 // MRBG-Stores and patches only affected result groups.
 func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, error) {
 	rep := &metrics.Report{}
-	buf, err := r.newDeltaBuffer(rep)
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Close()
-	err = r.mapDelta(deltaInput, buf, rep, func(d kv.Delta, seq uint64, em *shuffle.Emitter) error {
+	compBefore := r.resultCompactions()
+	mapRecord := func(d kv.Delta, seq uint64, emit func(k2, v2 string)) error {
 		base := kv.Fingerprint(d.Key, d.Value)
 		occ := occTracker{}
 		del := d.Op == kv.OpDelete
 		return r.job.Mapper.Map(d.Key, d.Value, func(k2, v2 string) {
-			em.Emit(k2, encodeDeltaEdge(mkFor(base, occ.next(k2)), seq, del, v2))
+			emit(k2, encodeDeltaEdge(mkFor(base, occ.next(k2)), seq, del, v2))
 		})
-	})
-	if err != nil {
-		return nil, err
 	}
-	mapSort := buf.SortDuration()
-	compBefore := r.resultCompactions()
-
-	// Incremental Reduce: one task per partition, co-located with its
-	// stores; drain the partition's delta MRBGraph off the streaming
-	// merge, join it against the MRBG-Store, and re-reduce affected K2s
-	// into the result store. No lock is shared across partitions, so
-	// user Reduce calls run fully in parallel.
-	tasks := make([]cluster.Task, 0, r.job.NumReducers)
-	for p := 0; p < r.job.NumReducers; p++ {
-		p := p
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s-delta/reduce-%04d", sanitize(r.job.Name), p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				start := time.Now()
-				res := r.res[p]
-				var reduced int64
-				onMerge := func(m mrbg.MergeResult) error {
-					if m.Removed {
-						res.Delete(m.Key)
-						return nil
-					}
-					var outs []kv.Pair
-					err := r.job.Reducer.Reduce(m.Key, m.Values, func(k3, v3 string) {
-						outs = append(outs, kv.Pair{Key: k3, Value: v3})
-					})
-					if err != nil {
-						return err
-					}
-					reduced++
-					res.Set(m.Key, outs)
-					return nil
-				}
-				// Drain the streaming merge into Merge calls in batches
-				// bounded by this partition's share of the shuffle
-				// budget, so the reduce side never buffers more of the
-				// delta MRBGraph than the map side was allowed to. Groups
-				// never split across batches (buf.Reduce yields whole
-				// keys), so each affected K2 merges and re-reduces
-				// exactly once; later batches see earlier batches'
-				// committed chunks, making the split semantically
-				// invisible.
-				var batchBound int64
-				if r.job.ShuffleMemoryBudget > 0 {
-					batchBound = r.job.ShuffleMemoryBudget / int64(r.job.NumReducers)
-					if batchBound < 1 {
-						batchBound = 1
-					}
-				}
-				var delta []mrbg.DeltaEdge
-				var deltaBytes int64
-				flush := func() error {
-					if len(delta) == 0 {
-						return nil
-					}
-					if err := r.stores[p].Merge(delta, onMerge); err != nil {
-						return err
-					}
-					delta, deltaBytes = delta[:0], 0
-					return nil
-				}
-				err := buf.Reduce(p, func(g kv.Group) error {
-					for _, v := range g.Values {
-						de, err := decodeDeltaEdge(g.Key, v)
-						if err != nil {
-							return err
-						}
-						delta = append(delta, de)
-						deltaBytes += int64(len(de.Key) + len(de.V2) + 16)
-					}
-					if batchBound > 0 && deltaBytes >= batchBound {
-						return flush()
-					}
-					return nil
-				})
+	// Incremental Reduce: drain the partition's delta MRBGraph off the
+	// streaming merge, join it against the MRBG-Store, and re-reduce
+	// affected K2s into the result store. No lock is shared across
+	// partitions, so user Reduce calls run fully in parallel.
+	reducePartition := func(p int, groups shuffle.GroupSource) error {
+		res := r.res[p]
+		var reduced int64
+		onMerge := func(m mrbg.MergeResult) error {
+			if m.Removed {
+				res.Delete(m.Key)
+				return nil
+			}
+			var outs []kv.Pair
+			err := r.job.Reducer.Reduce(m.Key, m.Values, func(k3, v3 string) {
+				outs = append(outs, kv.Pair{Key: k3, Value: v3})
+			})
+			if err != nil {
+				return err
+			}
+			reduced++
+			res.Set(m.Key, outs)
+			return nil
+		}
+		// Drain the streaming merge into Merge calls in batches bounded
+		// by this partition's share of the shuffle budget, so the reduce
+		// side never buffers more of the delta MRBGraph than the map side
+		// was allowed to. Groups never split across batches (the stream
+		// yields whole keys), so each affected K2 merges and re-reduces
+		// exactly once; later batches see earlier batches' committed
+		// chunks, making the split semantically invisible.
+		var batchBound int64
+		if r.job.ShuffleMemoryBudget > 0 {
+			batchBound = r.job.ShuffleMemoryBudget / int64(r.job.NumReducers)
+			if batchBound < 1 {
+				batchBound = 1
+			}
+		}
+		var delta []mrbg.DeltaEdge
+		var deltaBytes int64
+		flush := func() error {
+			if len(delta) == 0 {
+				return nil
+			}
+			if err := r.stores[p].Merge(delta, onMerge); err != nil {
+				return err
+			}
+			delta, deltaBytes = delta[:0], 0
+			return nil
+		}
+		err := groups(func(g kv.Group) error {
+			for _, v := range g.Values {
+				de, err := decodeDeltaEdge(g.Key, v)
 				if err != nil {
 					return err
 				}
-				if err := flush(); err != nil {
-					return err
-				}
-				// The two checkpoints are separate fsync points, so a
-				// crash between them would leave the partition's
-				// MRBGraph ahead of its result store. An intent marker
-				// brackets them: it is durably written before the first
-				// checkpoint and removed after the second, and Open
-				// refuses a partition whose marker survived. (A crash
-				// before the first checkpoint rolls both stores back to
-				// the previous refresh — consistent — and replaying a
-				// fine-grain delta against consistent state is
-				// idempotent per (K2, MK).)
-				ckptStart := time.Now()
-				intent := r.refreshIntentPath(p)
-				if err := fsutil.WriteFileAtomic(intent, []byte("refresh\n")); err != nil {
-					return err
-				}
-				if err := r.stores[p].Checkpoint(); err != nil {
-					return err
-				}
-				if err := res.Checkpoint(); err != nil {
-					return err
-				}
-				if err := os.Remove(intent); err != nil {
-					return err
-				}
-				if err := fsutil.SyncDir(filepath.Dir(intent)); err != nil {
-					return err
-				}
-				ckptDur := time.Since(ckptStart)
-				rep.Add(metrics.CounterReduceInstances, reduced)
-				rep.AddStage(metrics.StageCheckpoint, ckptDur)
-				rep.AddStage(metrics.StageReduce, time.Since(start)-ckptDur)
-				return nil
-			},
+				delta = append(delta, de)
+				deltaBytes += int64(len(de.Key) + len(de.V2) + 16)
+			}
+			if batchBound > 0 && deltaBytes >= batchBound {
+				return flush()
+			}
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		// The two checkpoints are separate fsync points, so a crash
+		// between them would leave the partition's MRBGraph ahead of its
+		// result store. An intent marker brackets them: it is durably
+		// written before the first checkpoint and removed after the
+		// second, and Open refuses a partition whose marker survived. (A
+		// crash before the first checkpoint rolls both stores back to the
+		// previous refresh — consistent — and replaying a fine-grain
+		// delta against consistent state is idempotent per (K2, MK).)
+		ckptStart := time.Now()
+		intent := r.refreshIntentPath(p)
+		if err := fsutil.WriteFileAtomic(intent, []byte("refresh\n")); err != nil {
+			return err
+		}
+		if err := r.stores[p].Checkpoint(); err != nil {
+			return err
+		}
+		if err := res.Checkpoint(); err != nil {
+			return err
+		}
+		if err := os.Remove(intent); err != nil {
+			return err
+		}
+		if err := fsutil.SyncDir(filepath.Dir(intent)); err != nil {
+			return err
+		}
+		rep.Add(metrics.CounterReduceInstances, reduced)
+		splitCheckpoint(rep, time.Since(ckptStart))
+		return nil
 	}
-	if _, err := r.eng.Cluster().Run(tasks); err != nil {
-		return nil, fmt.Errorf("incr: incremental reduce phase: %w", err)
+	if err := r.runDelta(deltaInput, rep, mapRecord, reducePartition); err != nil {
+		return nil, err
 	}
-	// Residue sorts ran inside the timed reduce windows; rebalance them
-	// into StageSort (where the Buffer already reported them).
-	rep.AddStage(metrics.StageReduce, -(buf.SortDuration() - mapSort))
 
 	if err := r.writeOutputs(output, rep); err != nil {
 		return nil, err
@@ -984,92 +854,76 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 // into a partial result, and fold it into the preserved output with ⊕.
 func (r *Runner) runDeltaAccumulator(deltaInput, output string) (*metrics.Report, error) {
 	rep := &metrics.Report{}
-	buf, err := r.newDeltaBuffer(rep)
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Close()
-	err = r.mapDelta(deltaInput, buf, rep, func(d kv.Delta, _ uint64, em *shuffle.Emitter) error {
+	compBefore := r.resultCompactions()
+	mapRecord := func(d kv.Delta, _ uint64, emit func(k2, v2 string)) error {
 		if d.Op == kv.OpDelete {
 			return fmt.Errorf("incr: accumulator job %q received a deletion for key %q; accumulator deltas must be insert-only (Sec. 3.5)", r.job.Name, d.Key)
 		}
-		return r.job.Mapper.Map(d.Key, d.Value, func(k2, v2 string) {
-			em.Emit(k2, v2)
-		})
-	})
-	if err != nil {
-		return nil, err
+		return r.job.Mapper.Map(d.Key, d.Value, emit)
 	}
-	mapSort := buf.SortDuration()
-	compBefore := r.resultCompactions()
 
 	// Accumulator folds are not idempotent (⊕ reapplied double-counts),
-	// so the refresh is bracketed by one intent marker covering ALL
+	// so the folds are bracketed by one intent marker covering ALL
 	// partitions: a crash while some partitions have durably folded and
 	// others have not leaves the marker behind, and Open refuses the
-	// half-applied state. Within one process, a retried task attempt is
-	// handled separately: it discards the failed attempt's pending folds
-	// (DiscardPending) and re-folds from the partition's durable state.
-	// The marker carries the in-flight job number so Open can tell the
-	// one benign case apart: job.meta already stamped with this number
-	// means the refresh committed and only the unlink was lost.
+	// half-applied state. The first reduce task to start writes it, so a
+	// refresh that fails in its map phase (nothing folded) leaves none.
+	// Within one process, a retried task attempt is handled separately:
+	// it discards the failed attempt's pending folds (DiscardPending) and
+	// re-folds from the partition's durable state. The marker carries
+	// the in-flight job number so Open can tell the one benign case
+	// apart: job.meta already stamped with this number means the refresh
+	// committed and only the unlink was lost.
 	intent := r.refreshIntentPath(0)
-	if err := fsutil.WriteFileAtomic(intent, []byte(fmt.Sprintf("job=%d\n", r.jobs.Load()+1))); err != nil {
-		return nil, err
-	}
-
-	rtasks := make([]cluster.Task, 0, r.job.NumReducers)
-	for p := 0; p < r.job.NumReducers; p++ {
-		p := p
-		rtasks = append(rtasks, cluster.Task{
-			Name:      fmt.Sprintf("%s-delta/reduce-%04d", sanitize(r.job.Name), p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				start := time.Now()
-				res := r.res[p]
-				res.DiscardPending()
-				var reduced int64
-				err := buf.Reduce(p, func(g kv.Group) error {
-					var outs []kv.Pair
-					err := r.job.Reducer.Reduce(g.Key, g.Values, func(k3, v3 string) {
-						outs = append(outs, kv.Pair{Key: k3, Value: v3})
-					})
-					if err != nil {
-						return err
-					}
-					reduced++
-					for _, o := range outs {
-						old, ok, err := res.Get(o.Key)
-						if err != nil {
-							return err
-						}
-						// A group can be materialized with zero pairs (a
-						// reduce that emitted nothing); treat it as absent
-						// rather than indexing old[0].
-						if ok && len(old) > 0 {
-							o = kv.Pair{Key: o.Key, Value: r.job.Accumulate(old[0].Value, o.Value)}
-						}
-						res.Set(o.Key, []kv.Pair{o})
-					}
-					return nil
-				})
+	var markOnce sync.Once
+	var markErr error
+	reducePartition := func(p int, groups shuffle.GroupSource) error {
+		markOnce.Do(func() {
+			markErr = fsutil.WriteFileAtomic(intent, []byte(fmt.Sprintf("job=%d\n", r.jobs.Load()+1)))
+		})
+		if markErr != nil {
+			return markErr
+		}
+		res := r.res[p]
+		res.DiscardPending()
+		var reduced int64
+		err := groups(func(g kv.Group) error {
+			var outs []kv.Pair
+			err := r.job.Reducer.Reduce(g.Key, g.Values, func(k3, v3 string) {
+				outs = append(outs, kv.Pair{Key: k3, Value: v3})
+			})
+			if err != nil {
+				return err
+			}
+			reduced++
+			for _, o := range outs {
+				old, ok, err := res.Get(o.Key)
 				if err != nil {
 					return err
 				}
-				ckptStart := time.Now()
-				if err := res.Checkpoint(); err != nil {
-					return err
+				// A group can be materialized with zero pairs (a reduce
+				// that emitted nothing); treat it as absent rather than
+				// indexing old[0].
+				if ok && len(old) > 0 {
+					o = kv.Pair{Key: o.Key, Value: r.job.Accumulate(old[0].Value, o.Value)}
 				}
-				ckptDur := time.Since(ckptStart)
-				rep.Add(metrics.CounterReduceInstances, reduced)
-				rep.AddStage(metrics.StageCheckpoint, ckptDur)
-				rep.AddStage(metrics.StageReduce, time.Since(start)-ckptDur)
-				return nil
-			},
+				res.Set(o.Key, []kv.Pair{o})
+			}
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		ckptStart := time.Now()
+		if err := res.Checkpoint(); err != nil {
+			return err
+		}
+		rep.Add(metrics.CounterReduceInstances, reduced)
+		splitCheckpoint(rep, time.Since(ckptStart))
+		return nil
 	}
-	if _, err := r.eng.Cluster().Run(rtasks); err != nil {
-		return nil, fmt.Errorf("incr: accumulate phase: %w", err)
+	if err := r.runDelta(deltaInput, rep, mapRecord, reducePartition); err != nil {
+		return nil, err
 	}
 	// Commit order: stamp the completed-job count BEFORE unlinking the
 	// intent marker. A crash between the two is the benign window Open
@@ -1086,7 +940,6 @@ func (r *Runner) runDeltaAccumulator(deltaInput, output string) (*metrics.Report
 	if err := fsutil.SyncDir(filepath.Dir(intent)); err != nil {
 		return nil, err
 	}
-	rep.AddStage(metrics.StageReduce, -(buf.SortDuration() - mapSort))
 	if err := r.writeOutputs(output, rep); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package incr
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -496,6 +497,11 @@ func TestAccumulatorRejectsDeletions(t *testing.T) {
 	}
 	if _, err := r.RunDelta("d", "o1"); err == nil {
 		t.Fatal("accumulator job accepted a deletion")
+	}
+	// The refresh died in its map phase, before any fold: it must not
+	// leave the intent marker that makes Open refuse the state.
+	if _, err := os.Stat(r.refreshIntentPath(0)); !os.IsNotExist(err) {
+		t.Fatalf("rejected refresh left an intent marker behind (err=%v)", err)
 	}
 }
 

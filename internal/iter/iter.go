@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -117,13 +116,6 @@ type Config struct {
 	// the System-wide default and a negative value explicitly opts out
 	// of spilling.
 	ShuffleMemoryBudget int64
-	// StructCacheBytes caps an optional decoded-structure cache: the
-	// iter engine re-reads its node-local structure partition every
-	// iteration, and this cache keeps decoded partitions in memory up
-	// to the cap, falling back to ReadStructFile for partitions that do
-	// not fit ("structcache.hits" / "structcache.misses" count the
-	// outcomes). 0 disables the cache.
-	StructCacheBytes int64
 }
 
 // IterationStats describes one iteration of a run.
@@ -155,58 +147,10 @@ type Runner struct {
 	n    int
 
 	structPaths []string            // per-partition structure file (node-local)
-	structRecs  []int64             // records per partition
 	state       []map[string]string // per-partition state (co-partitioned)
 	global      map[string]string   // replicated state (ReplicateState)
-	cache       *structCache        // decoded-structure cache (nil = off)
 	loaded      bool
 	mu          sync.Mutex
-}
-
-// structCache keeps decoded structure partitions in memory, capped by
-// total bytes. Partitions that do not fit are simply not cached (the
-// caller falls back to ReadStructFile), keeping behaviour deterministic
-// without eviction bookkeeping — iter's structure data is immutable
-// after LoadStructure, so entries never invalidate.
-type structCache struct {
-	mu    sync.Mutex
-	cap   int64
-	bytes int64
-	parts map[int][]kv.Pair
-	skip  map[int]bool // partitions known not to fit: never re-collect
-}
-
-func (c *structCache) get(p int) ([]kv.Pair, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ps, ok := c.parts[p]
-	return ps, ok
-}
-
-// collectible reports whether it is worth accumulating partition p's
-// pairs for insertion: false once the cache is full or p was already
-// rejected, so oversized partitions stream without an O(partition)
-// transient allocation every iteration.
-func (c *structCache) collectible(p int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes < c.cap && !c.skip[p]
-}
-
-// put inserts partition p if it fits under the cap, otherwise marks it
-// as never fitting.
-func (c *structCache) put(p int, ps []kv.Pair, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.parts[p]; ok {
-		return
-	}
-	if c.bytes+size > c.cap {
-		c.skip[p] = true
-		return
-	}
-	c.parts[p] = ps
-	c.bytes += size
 }
 
 // NewRunner validates the spec and prepares a runner.
@@ -223,29 +167,11 @@ func NewRunner(eng *mr.Engine, spec Spec, cfg Config) (*Runner, error) {
 	if spec.ReplicateState && cfg.InitialState == nil {
 		return nil, errors.New("iter: ReplicateState requires Config.InitialState")
 	}
-	r := &Runner{eng: eng, spec: spec, cfg: cfg, n: cfg.NumPartitions}
-	if cfg.StructCacheBytes > 0 {
-		r.cache = &structCache{
-			cap:   cfg.StructCacheBytes,
-			parts: make(map[int][]kv.Pair),
-			skip:  make(map[int]bool),
-		}
-	}
-	return r, nil
+	return &Runner{eng: eng, spec: spec, cfg: cfg, n: cfg.NumPartitions}, nil
 }
 
 // NumPartitions returns the partition count n.
 func (r *Runner) NumPartitions() int { return r.n }
-
-func sanitize(s string) string {
-	return strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			return c
-		}
-		return '_'
-	}, s)
-}
 
 // partitionOf returns the partition owning a structure key.
 func (r *Runner) partitionOf(sk string) int {
@@ -257,54 +183,13 @@ func (r *Runner) partitionOf(sk string) int {
 
 // structPath names partition p's cached structure file on its node.
 func (r *Runner) structPath(p int) string {
-	node := r.eng.Cluster().NodeByID(p % r.eng.Cluster().NumNodes())
-	return filepath.Join(node.ScratchDir, "iter", sanitize(r.spec.Name), fmt.Sprintf("part-%04d.struct", p))
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), "iter", cluster.SafeName(r.spec.Name), fmt.Sprintf("part-%04d.struct", p))
 }
 
 // shuffleDir names the node-local spill directory of iteration it's
 // partition p (on the node that runs partition p's reduce task).
 func (r *Runner) shuffleDir(it, p int) string {
-	node := r.eng.Cluster().NodeByID(p % r.eng.Cluster().NumNodes())
-	return filepath.Join(node.ScratchDir, "iter-shuffle", sanitize(r.spec.Name), fmt.Sprintf("it%03d-part-%04d", it, p))
-}
-
-// structCachePairOverhead approximates per-pair bookkeeping charged
-// against Config.StructCacheBytes.
-const structCachePairOverhead = 32
-
-// readStructure streams partition p's structure records, serving them
-// from the decoded cache when enabled and populated, and falling back
-// to (and, capacity permitting, filling the cache from) the node-local
-// structure file.
-func (r *Runner) readStructure(p int, rep *metrics.Report, fn func(pr kv.Pair) error) error {
-	if r.cache == nil {
-		return ReadStructFile(r.structPaths[p], fn)
-	}
-	if ps, ok := r.cache.get(p); ok {
-		rep.Add(metrics.CounterStructCacheHits, 1)
-		for _, pr := range ps {
-			if err := fn(pr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	rep.Add(metrics.CounterStructCacheMisses, 1)
-	if !r.cache.collectible(p) {
-		return ReadStructFile(r.structPaths[p], fn)
-	}
-	ps := make([]kv.Pair, 0, r.structRecs[p])
-	var size int64
-	err := ReadStructFile(r.structPaths[p], func(pr kv.Pair) error {
-		ps = append(ps, pr)
-		size += int64(len(pr.Key)+len(pr.Value)) + structCachePairOverhead
-		return fn(pr)
-	})
-	if err != nil {
-		return err
-	}
-	r.cache.put(p, ps, size)
-	return nil
+	return filepath.Join(r.eng.Cluster().PartitionDir(p), "iter-shuffle", cluster.SafeName(r.spec.Name), fmt.Sprintf("it%03d-part-%04d", it, p))
 }
 
 // LoadStructure runs the preprocessing step (paper Sec. 4.3):
@@ -328,7 +213,7 @@ func (r *Runner) LoadStructure(input string) (*metrics.Report, error) {
 	for b := range fi.Blocks {
 		b := b
 		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/partition-%04d", sanitize(r.spec.Name), b),
+			Name:      fmt.Sprintf("%s/partition-%04d", cluster.SafeName(r.spec.Name), b),
 			Preferred: -1,
 			Run: func(tc cluster.TaskContext) error {
 				br, err := r.eng.FS().OpenBlock(input, b)
@@ -361,7 +246,6 @@ func (r *Runner) LoadStructure(input string) (*metrics.Report, error) {
 	}
 
 	r.structPaths = make([]string, r.n)
-	r.structRecs = make([]int64, r.n)
 	if r.spec.ReplicateState {
 		r.global = make(map[string]string, len(r.cfg.InitialState))
 		for k, v := range r.cfg.InitialState {
@@ -398,7 +282,6 @@ func (r *Runner) LoadStructure(input string) (*metrics.Report, error) {
 			return nil, err
 		}
 		r.structPaths[p] = path
-		r.structRecs[p] = int64(len(ps))
 		rep.Add(metrics.CounterStructureRecords, int64(len(ps)))
 	}
 	r.loaded = true
@@ -514,7 +397,7 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 	var outsMu sync.Mutex
 
 	err := shuffle.Iteration{
-		Name:         fmt.Sprintf("%s/it%03d", sanitize(r.spec.Name), it),
+		Name:         fmt.Sprintf("%s/it%03d", cluster.SafeName(r.spec.Name), it),
 		Partitions:   r.n,
 		NumNodes:     r.eng.Cluster().NumNodes(),
 		RunTasks:     func(ts []cluster.Task) error { _, err := r.eng.Cluster().Run(ts); return err },
@@ -523,7 +406,7 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 		Report:       rep,
 		// Prime Map: one task per partition, co-located with its cached
 		// structure file and state store.
-		MapPartition: func(p int, emit func(k2, v2 string)) (int64, error) {
+		MapTask: func(p int, emit func(k2, v2 string)) (int64, error) {
 			// All-to-one specs see the whole replicated state as a
 			// single canonical kv-pair, resolved once per task.
 			var repDK, repDV string
@@ -537,7 +420,7 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 				}
 			}
 			var recs int64
-			err := r.readStructure(p, rep, func(pr kv.Pair) error {
+			err := ReadStructFile(r.structPaths[p], func(pr kv.Pair) error {
 				recs++
 				dk, dv := repDK, repDV
 				if !r.spec.ReplicateState {
@@ -588,7 +471,7 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 			rep.Add(metrics.CounterReduceGroups, ngroups)
 			return nil
 		},
-	}.Run()
+	}.Run(r.eng.Cluster().PartitionNodes(r.n))
 	if err != nil {
 		return IterationStats{}, fmt.Errorf("iter: iteration %d: %w", it, err)
 	}

@@ -533,58 +533,6 @@ func runPageRank(t *testing.T, cfg Config) (*Result, map[string]string) {
 	return res, r.State()
 }
 
-func cacheCounters(res *Result) (hits, misses int64) {
-	for _, s := range res.PerIter {
-		hits += s.Stages.Counters["structcache.hits"]
-		misses += s.Stages.Counters["structcache.misses"]
-	}
-	return hits, misses
-}
-
-func TestStructCacheServesRepeatIterations(t *testing.T) {
-	base := Config{NumPartitions: 3, MaxIterations: 50, Epsilon: 1e-10}
-	resOff, stateOff := runPageRank(t, base)
-	if h, m := cacheCounters(resOff); h != 0 || m != 0 {
-		t.Fatalf("cache disabled but counted hits=%d misses=%d", h, m)
-	}
-
-	cached := base
-	cached.StructCacheBytes = 1 << 20
-	resOn, stateOn := runPageRank(t, cached)
-	hits, misses := cacheCounters(resOn)
-	// First iteration decodes (and fills) all 3 partitions; every later
-	// iteration is served from memory.
-	if misses != 3 {
-		t.Fatalf("misses = %d, want 3 (one per partition on iteration 1)", misses)
-	}
-	if want := int64(resOn.Iterations-1) * 3; hits != want {
-		t.Fatalf("hits = %d, want %d", hits, want)
-	}
-	if len(stateOn) != len(stateOff) {
-		t.Fatalf("cached run has %d state keys, uncached %d", len(stateOn), len(stateOff))
-	}
-	for k, v := range stateOff {
-		if stateOn[k] != v {
-			t.Fatalf("state[%q] = %q with cache, %q without", k, stateOn[k], v)
-		}
-	}
-}
-
-func TestStructCacheTooSmallFallsBack(t *testing.T) {
-	cfg := Config{NumPartitions: 3, MaxIterations: 50, Epsilon: 1e-10, StructCacheBytes: 1}
-	res, state := runPageRank(t, cfg)
-	hits, misses := cacheCounters(res)
-	if hits != 0 {
-		t.Fatalf("1-byte cache served %d hits", hits)
-	}
-	if want := int64(res.Iterations) * 3; misses != want {
-		t.Fatalf("misses = %d, want %d (every partition, every iteration)", misses, want)
-	}
-	if len(state) != len(testGraph()) {
-		t.Fatalf("state has %d keys, want %d", len(state), len(testGraph()))
-	}
-}
-
 func TestShuffleSpillBudgetPreservesResults(t *testing.T) {
 	base := Config{NumPartitions: 3, MaxIterations: 50, Epsilon: 1e-10}
 	resMem, stateMem := runPageRank(t, base)

@@ -43,21 +43,15 @@ type mergeItem struct {
 	idx int
 }
 
-// byKeyThenRun orders equal keys by run index: reduce value lists then
-// come out identical run-to-run, which the tests and the MRBG-Store
-// duplicate handling rely on (later batches must win).
-func byKeyThenRun(a, b mergeItem) bool {
-	if a.p.Key != b.p.Key {
-		return a.p.Key < b.p.Key
-	}
-	return a.idx < b.idx
-}
+// mergeHeap orders heads by (key, value, run index), reproducing
+// SortPairs' total order across runs: a reduce group's value order then
+// does not depend on where run boundaries fell — i.e. on the memory
+// budget, the spill count, or how many map tasks produced the runs.
+type mergeHeap []mergeItem
 
-// byKeyValueThenRun orders by (key, value, run index), reproducing
-// SortPairs' total order across runs. The shuffle runtime merges with
-// it so a reduce group's value order does not depend on where run
-// boundaries fell — i.e. on the memory budget or spill count.
-func byKeyValueThenRun(a, b mergeItem) bool {
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
 	if a.p.Key != b.p.Key {
 		return a.p.Key < b.p.Key
 	}
@@ -66,49 +60,30 @@ func byKeyValueThenRun(a, b mergeItem) bool {
 	}
 	return a.idx < b.idx
 }
-
-type mergeHeap struct {
-	items []mergeItem
-	less  func(a, b mergeItem) bool
-}
-
-func (h mergeHeap) Len() int            { return len(h.items) }
-func (h mergeHeap) Less(i, j int) bool  { return h.less(h.items[i], h.items[j]) }
-func (h mergeHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
+func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
 func (h *mergeHeap) Pop() interface{} {
-	old := h.items
+	old := *h
 	n := len(old)
 	it := old[n-1]
-	h.items = old[:n-1]
+	*h = old[:n-1]
 	return it
 }
 
-// Merger performs a k-way merge of key-sorted runs, yielding a single
-// key-sorted stream. This is the reduce-side merge of the shuffle
-// (Hadoop's merge phase) and the batch merge inside the MRBG-Store.
+// Merger performs a k-way merge of sorted runs, yielding a single sorted
+// stream: the reduce-side merge of the shuffle (Hadoop's merge phase).
 type Merger struct {
 	sources []PairSource
 	h       mergeHeap
 }
 
-// NewMerger primes a Merger with the head element of every source.
-// Sources that are empty from the start are dropped. Equal keys drain
-// in source order (see byKeyThenRun).
-func NewMerger(sources ...PairSource) (*Merger, error) {
-	return newMerger(byKeyThenRun, sources)
-}
-
-// NewMergerByKeyValue primes a Merger whose output reproduces
-// SortPairs' (key, value) total order regardless of how pairs were
-// split across the sorted sources. Sources must each be sorted with
+// NewMergerByKeyValue primes a Merger with the head element of every
+// source; sources that are empty from the start are dropped. Its output
+// reproduces SortPairs' (key, value) total order regardless of how pairs
+// were split across the sources, each of which must be sorted with
 // SortPairs (key then value).
 func NewMergerByKeyValue(sources ...PairSource) (*Merger, error) {
-	return newMerger(byKeyValueThenRun, sources)
-}
-
-func newMerger(less func(a, b mergeItem) bool, sources []PairSource) (*Merger, error) {
-	m := &Merger{sources: sources, h: mergeHeap{less: less}}
+	m := &Merger{sources: sources}
 	for i, src := range sources {
 		p, err := src.Next()
 		if err == io.EOF {
@@ -117,23 +92,23 @@ func newMerger(less func(a, b mergeItem) bool, sources []PairSource) (*Merger, e
 		if err != nil {
 			return nil, err
 		}
-		m.h.items = append(m.h.items, mergeItem{p: p, idx: i})
+		m.h = append(m.h, mergeItem{p: p, idx: i})
 	}
 	heap.Init(&m.h)
 	return m, nil
 }
 
-// Next implements PairSource: it returns the globally next pair in key
-// order, refilling from the source it came from.
+// Next implements PairSource: it returns the globally next pair in
+// (key, value) order, refilling from the source it came from.
 func (m *Merger) Next() (Pair, error) {
-	if len(m.h.items) == 0 {
+	if len(m.h) == 0 {
 		return Pair{}, io.EOF
 	}
-	it := m.h.items[0]
+	it := m.h[0]
 	p, err := m.sources[it.idx].Next()
 	switch err {
 	case nil:
-		m.h.items[0] = mergeItem{p: p, idx: it.idx}
+		m.h[0] = mergeItem{p: p, idx: it.idx}
 		heap.Fix(&m.h, 0)
 	case io.EOF:
 		heap.Pop(&m.h)

@@ -99,7 +99,7 @@ func TestMergerByKeyValueOrdersValuesAcrossRuns(t *testing.T) {
 func TestMergerTwoRuns(t *testing.T) {
 	a := []Pair{{"a", "1"}, {"c", "3"}, {"e", "5"}}
 	b := []Pair{{"b", "2"}, {"c", "30"}, {"d", "4"}}
-	m, err := NewMerger(NewSliceSource(a), NewSliceSource(b))
+	m, err := NewMergerByKeyValue(NewSliceSource(a), NewSliceSource(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,35 +111,20 @@ func TestMergerTwoRuns(t *testing.T) {
 }
 
 func TestMergerEmptyAndSingleRuns(t *testing.T) {
-	m, err := NewMerger()
+	m, err := NewMergerByKeyValue()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := drain(t, m); len(got) != 0 {
 		t.Fatalf("empty merger yielded %v", got)
 	}
-	m, err = NewMerger(NewSliceSource(nil), NewSliceSource([]Pair{{"x", "1"}}))
+	m, err = NewMergerByKeyValue(NewSliceSource(nil), NewSliceSource([]Pair{{"x", "1"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := drain(t, m)
 	if !reflect.DeepEqual(got, []Pair{{"x", "1"}}) {
 		t.Fatalf("merge = %v", got)
-	}
-}
-
-func TestMergerDeterministicTieBreak(t *testing.T) {
-	// Equal keys must come out in run-index order.
-	a := []Pair{{"k", "fromA"}}
-	b := []Pair{{"k", "fromB"}}
-	m, err := NewMerger(NewSliceSource(a), NewSliceSource(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, m)
-	want := []Pair{{"k", "fromA"}, {"k", "fromB"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge = %v, want %v", got, want)
 	}
 }
 
@@ -155,7 +140,7 @@ func TestMergerEqualsSortProperty(t *testing.T) {
 			all = append(all, run...)
 			sources[i] = NewSliceSource(run)
 		}
-		m, err := NewMerger(sources...)
+		m, err := NewMergerByKeyValue(sources...)
 		if err != nil {
 			return false
 		}

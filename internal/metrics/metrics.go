@@ -85,8 +85,8 @@ const (
 	// the simulated per-job startup cost in nanoseconds.
 	CounterJobs      = "jobs"
 	CounterStartupNS = "startup.ns"
-	// CounterShuffleBytes counts the encoded intermediate bytes moved by
-	// the shuffle.
+	// CounterShuffleBytes counts the intermediate key+value bytes the map
+	// side emitted into the shuffle (the simulated network transfer).
 	CounterShuffleBytes = "shuffle.bytes"
 	// CounterStructureRecords counts the structure-file records indexed
 	// by the iterative engines; CounterStructureBytesRead counts the
@@ -107,11 +107,6 @@ const (
 	CounterSpillRuns = "shuffle.spill.runs"
 	// CounterSpillBytes counts the encoded bytes of those spilled runs.
 	CounterSpillBytes = "shuffle.spill.bytes"
-	// CounterStructCacheHits / Misses count iterations that served a
-	// partition's structure data from the iter engine's decoded cache
-	// vs. re-decoding the node-local structure file.
-	CounterStructCacheHits   = "structcache.hits"
-	CounterStructCacheMisses = "structcache.misses"
 	// CounterResultSegments is the total on-disk segment count across
 	// the one-step engine's per-partition result stores after a refresh.
 	CounterResultSegments = "results.segments"

@@ -1,29 +1,32 @@
 // Package mr implements the vanilla MapReduce engine (paper Sec. 2)
 // that everything else builds on: plain re-computation baselines run on
 // it directly, the HaLoop baseline chains its two jobs per iteration
-// through it, and the incremental one-step engine reuses its map phase.
+// through it, and the incremental one-step engine runs its initial job
+// on it.
 //
-// Execution model, mirroring Hadoop:
+// A job is a thin binding onto the one Map -> shuffle -> Reduce driver
+// of the module, shuffle.Iteration, which the incremental and iterative
+// engines run on too:
 //
-//   - one Map task per DFS input block, scheduled data-locally;
-//   - each Map task partitions its output by key into R buckets, sorts
-//     each bucket, optionally combines, and writes one spill file per
-//     reduce partition to the executing node's local scratch dir;
-//   - each Reduce task copies its spill files from every map task
-//     (the shuffle), k-way merges them (the sort), groups by key, and
-//     invokes Reduce, writing output to the DFS.
+//   - one Map task per DFS input block, scheduled data-locally; its
+//     output (optionally combined) is staged per attempt and published
+//     to the shuffle on success;
+//   - the shuffle keeps the intermediate data in lock-striped
+//     per-partition buffers under a fixed memory budget, spilling sorted
+//     runs to node-local scratch beyond it and removing them when the
+//     job ends;
+//   - one Reduce task per partition streams the (key, value)-ordered
+//     merge, invokes Reduce per group, and commits a DFS part file.
 //
-// All spill and output I/O is real disk I/O; the network hop of the
-// shuffle is a byte counter ("shuffle.bytes").
+// Output I/O is real disk I/O; the network hop of the shuffle is a byte
+// counter ("shuffle.bytes", key+value bytes emitted).
 package mr
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,7 +34,16 @@ import (
 	"i2mapreduce/internal/dfs"
 	"i2mapreduce/internal/kv"
 	"i2mapreduce/internal/metrics"
+	"i2mapreduce/internal/shuffle"
 )
+
+// shuffleBudget bounds the intermediate bytes a vanilla job holds in
+// memory before map output spills to node-local scratch, the order of
+// Hadoop's io.sort.mb. It is a constant, not a Job field: the vanilla
+// pass is the baseline every comparison runs against, and the budgets
+// the sweeps vary (ShuffleMemoryBudget) size a delta or an iteration,
+// not a whole input.
+const shuffleBudget = 64 << 20
 
 // Emit passes one output record out of a Map or Reduce function.
 type Emit func(key, value string)
@@ -86,13 +98,13 @@ type Job struct {
 	// incremental engine uses it to bind each reduce task to its own
 	// MRBG-Store. Called once per reduce task attempt.
 	ReducerFactory func(partition int) Reducer
-	// Combiner optionally pre-aggregates map-side runs with reduce
-	// semantics, like Hadoop's combiner.
+	// Combiner optionally pre-aggregates each map task's output with
+	// reduce semantics before it enters the shuffle, like Hadoop's
+	// combiner.
 	Combiner Reducer
-	// NumReducers defaults to the cluster's node count.
+	// NumReducers defaults to the cluster's node count. Keys are routed
+	// by kv.Partition.
 	NumReducers int
-	// Partition defaults to kv.Partition.
-	Partition func(key string, n int) int
 	// StartupCost models Hadoop's per-job startup overhead (~20 s for
 	// 10-100 tasks, paper Sec. 4.2). It is *accounted*, not slept:
 	// Run adds it to the report's "startup.ns" counter, and harnesses
@@ -152,276 +164,122 @@ func (e *Engine) Run(job Job) (*metrics.Report, error) {
 	if job.NumReducers <= 0 {
 		job.NumReducers = e.cl.NumNodes()
 	}
-	if job.Partition == nil {
-		job.Partition = kv.Partition
-	}
 
 	report := &metrics.Report{}
 	report.Add(metrics.CounterJobs, 1)
 	report.Add(metrics.CounterStartupNS, int64(job.StartupCost))
 
-	runID := fmt.Sprintf("%s-%06d", sanitize(job.Name), e.seq.Add(1))
+	runID := fmt.Sprintf("%s-%06d", cluster.SafeName(job.Name), e.seq.Add(1))
 
-	// Resolve every input into (path, block) splits.
-	var splitsIn []inputSplit
+	// Resolve every input into (path, block) splits: one map task each,
+	// preferring the node that holds the block.
+	var splits []inputSplit
+	var mapNodes []int
 	for _, in := range job.Inputs {
 		fi, err := e.fs.Stat(in)
 		if err != nil {
 			return nil, fmt.Errorf("mr: job input: %w", err)
 		}
-		for b := range fi.Blocks {
-			splitsIn = append(splitsIn, inputSplit{path: in, block: b, nodes: fi.Blocks[b].Nodes})
+		for _, b := range fi.Blocks {
+			splits = append(splits, inputSplit{path: in, block: b.Index})
+			mapNodes = append(mapNodes, e.cl.LocalTo(b.Nodes))
 		}
 	}
 
-	spills, err := e.runMapPhase(runID, job, splitsIn, report)
+	err := shuffle.Iteration{
+		Name:         runID,
+		Partitions:   job.NumReducers,
+		NumNodes:     e.cl.NumNodes(),
+		RunTasks:     func(ts []cluster.Task) error { _, err := e.cl.Run(ts); return err },
+		MemoryBudget: shuffleBudget,
+		// The run id lives in the leaf, which the shuffle removes with
+		// its spill files, so a job leaves nothing under scratch.
+		ScratchDir: func(p int) string {
+			return filepath.Join(e.cl.PartitionDir(p), "mr-shuffle", fmt.Sprintf("%s-part-%04d", runID, p))
+		},
+		Report: report,
+		MapTask: func(m int, emit func(k, v string)) (int64, error) {
+			recs, err := e.mapSplit(job, splits[m], emit)
+			if err != nil {
+				return 0, fmt.Errorf("mr: map task %d: %w", m, err)
+			}
+			return recs, nil
+		},
+		ReducePartition: func(r int, groups shuffle.GroupSource) error {
+			n, err := e.reducePartition(job, r, groups)
+			if err != nil {
+				return fmt.Errorf("mr: reduce task %d: %w", r, err)
+			}
+			report.Add(metrics.CounterReduceGroups, n)
+			return nil
+		},
+	}.Run(mapNodes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mr: %w", err)
 	}
-	if err := e.runReducePhase(runID, job, spills, report); err != nil {
-		return nil, err
-	}
+	report.Add(metrics.CounterMapTasks, int64(len(splits)))
+	report.Add(metrics.CounterReduceTasks, int64(job.NumReducers))
 	return report, nil
-}
-
-func sanitize(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// spillSet records where every (map task, reduce partition) spill file
-// landed so reduce tasks can fetch them.
-type spillSet struct {
-	mu    sync.Mutex
-	paths map[[2]int]string // {mapTask, reducePartition} -> path
-}
-
-func (s *spillSet) put(m, r int, path string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paths[[2]int{m, r}] = path
-}
-
-func (s *spillSet) get(m, r int) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.paths[[2]int{m, r}]
-	return p, ok
 }
 
 // inputSplit is one map task's input: a block of one input file.
 type inputSplit struct {
 	path  string
 	block int
-	nodes []int
 }
 
-func (e *Engine) runMapPhase(runID string, job Job, splits []inputSplit, report *metrics.Report) (*spillSet, error) {
-	spills := &spillSet{paths: make(map[[2]int]string)}
-	tasks := make([]cluster.Task, 0, len(splits))
-	for m := range splits {
-		m := m
-		pref := -1
-		if len(splits[m].nodes) > 0 {
-			pref = splits[m].nodes[0] % e.cl.NumNodes()
-		}
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/map-%04d", runID, m),
-			Preferred: pref,
-			Run: func(tc cluster.TaskContext) error {
-				return e.runMapTask(runID, job, m, splits[m], tc, spills, report)
-			},
-		})
-	}
-	if _, err := e.cl.Run(tasks); err != nil {
-		return nil, fmt.Errorf("mr: map phase: %w", err)
-	}
-	return spills, nil
-}
-
-// runMapTask reads one input split, applies the Mapper, and spills one
-// sorted (optionally combined) run per reduce partition to local disk.
-func (e *Engine) runMapTask(runID string, job Job, m int, split inputSplit, tc cluster.TaskContext, spills *spillSet, report *metrics.Report) error {
-	start := time.Now()
+// mapSplit reads one input split and applies the Mapper, passing its
+// output (through the Combiner, when the job has one) to emit. It
+// returns the input record count.
+func (e *Engine) mapSplit(job Job, split inputSplit, emit func(k, v string)) (int64, error) {
 	br, err := e.fs.OpenBlock(split.path, split.block)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer br.Close()
 
-	buckets := make([][]kv.Pair, job.NumReducers)
-	emit := func(k, v string) {
-		r := job.Partition(k, job.NumReducers)
-		buckets[r] = append(buckets[r], kv.Pair{Key: k, Value: v})
+	var out []kv.Pair // the task's whole output, buffered only to combine it
+	mapEmit := emit
+	if job.Combiner != nil {
+		mapEmit = func(k, v string) { out = append(out, kv.Pair{Key: k, Value: v}) }
 	}
-	var inRecs, outRecs int64
+	var recs int64
 	for {
 		p, err := br.ReadPair()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
-		inRecs++
-		if err := job.Mapper.Map(p.Key, p.Value, emit); err != nil {
-			return fmt.Errorf("mr: map task %d: %w", m, err)
+		recs++
+		if err := job.Mapper.Map(p.Key, p.Value, mapEmit); err != nil {
+			return 0, err
 		}
 	}
-	for _, b := range buckets {
-		outRecs += int64(len(b))
-	}
-
-	dir := filepath.Join(tc.Node.ScratchDir, runID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for r := 0; r < job.NumReducers; r++ {
-		run := buckets[r]
-		kv.SortPairs(run)
-		if job.Combiner != nil {
-			combined, err := combineRun(run, job.Combiner)
-			if err != nil {
-				return fmt.Errorf("mr: combiner in map task %d: %w", m, err)
-			}
-			run = combined
-		}
-		path := filepath.Join(dir, fmt.Sprintf("spill-m%04d-r%04d", m, r))
-		if err := writeSpill(path, tc.Attempt, run); err != nil {
-			return err
-		}
-		spills.put(m, r, path)
-	}
-	report.Add(metrics.CounterMapRecordsIn, inRecs)
-	report.Add(metrics.CounterMapRecordsOut, outRecs)
-	report.Add(metrics.CounterMapTasks, 1)
-	report.AddStage(metrics.StageMap, time.Since(start))
-	return nil
-}
-
-// combineRun applies reduce semantics to a sorted run, map-side.
-func combineRun(run []kv.Pair, c Reducer) ([]kv.Pair, error) {
-	var out []kv.Pair
-	emit := func(k, v string) { out = append(out, kv.Pair{Key: k, Value: v}) }
-	err := kv.GroupSorted(run, func(g kv.Group) error {
-		return c.Reduce(g.Key, g.Values, emit)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Combiner output may be emitted under new keys; restore sort order
-	// so downstream merging stays correct.
-	kv.SortPairs(out)
-	return out, nil
-}
-
-// writeSpill writes a sorted run atomically (attempt-suffixed temp file
-// renamed into place) so re-executed attempts never expose torn files.
-func writeSpill(path string, attempt int, run []kv.Pair) error {
-	tmp := fmt.Sprintf("%s.attempt-%d", path, attempt)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := kv.EncodePairs(f, run); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	//i2vet:allow atomicwrite node-local shuffle scratch: the rename only hides torn files from re-executed attempts; spills are re-derivable, so fsync durability is deliberately skipped
-	return os.Rename(tmp, path)
-}
-
-func (e *Engine) runReducePhase(runID string, job Job, spills *spillSet, report *metrics.Report) error {
-	numMaps := int(report.Counter(metrics.CounterMapTasks))
-	tasks := make([]cluster.Task, 0, job.NumReducers)
-	for r := 0; r < job.NumReducers; r++ {
-		r := r
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/reduce-%04d", runID, r),
-			Preferred: r % e.cl.NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				return e.runReduceTask(runID, job, r, numMaps, tc, spills, report)
-			},
+	if job.Combiner != nil {
+		kv.SortPairs(out)
+		err := kv.GroupSorted(out, func(g kv.Group) error {
+			return job.Combiner.Reduce(g.Key, g.Values, emit)
 		})
+		if err != nil {
+			return 0, fmt.Errorf("combiner: %w", err)
+		}
 	}
-	if _, err := e.cl.Run(tasks); err != nil {
-		return fmt.Errorf("mr: reduce phase: %w", err)
-	}
-	return nil
+	return recs, nil
 }
 
-// runReduceTask shuffles the r-th spill of every map task to the local
-// node, merges them, groups, reduces, and commits the DFS part file.
-func (e *Engine) runReduceTask(runID string, job Job, r, numMaps int, tc cluster.TaskContext, spills *spillSet, report *metrics.Report) error {
-	// Shuffle: copy each map task's r-th spill to this node.
-	shuffleStart := time.Now()
-	localDir := filepath.Join(tc.Node.ScratchDir, runID, fmt.Sprintf("fetch-r%04d", r))
-	if err := os.MkdirAll(localDir, 0o755); err != nil {
-		return err
-	}
-	var runPaths []string
-	var shuffleBytes int64
-	for m := 0; m < numMaps; m++ {
-		src, ok := spills.get(m, r)
-		if !ok {
-			return fmt.Errorf("mr: missing spill m=%d r=%d", m, r)
-		}
-		dst := filepath.Join(localDir, fmt.Sprintf("run-m%04d.attempt-%d", m, tc.Attempt))
-		n, err := copyFile(dst, src)
-		if err != nil {
-			return err
-		}
-		shuffleBytes += n
-		runPaths = append(runPaths, dst)
-	}
-	report.Add(metrics.CounterShuffleBytes, shuffleBytes)
-	report.AddStage(metrics.StageShuffle, time.Since(shuffleStart))
-
-	// Sort: k-way merge of the fetched runs.
-	sortStart := time.Now()
-	sources := make([]kv.PairSource, 0, len(runPaths))
-	var files []*os.File
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, p := range runPaths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		sources = append(sources, kv.ReaderSource{R: kv.NewReader(f)})
-	}
-	merger, err := kv.NewMerger(sources...)
-	if err != nil {
-		return err
-	}
-	report.AddStage(metrics.StageSort, time.Since(sortStart))
-
-	// Reduce: group the merged stream and invoke the Reducer, writing
-	// output to the DFS part file.
-	reduceStart := time.Now()
+// reducePartition invokes the Reducer on every group of partition r and
+// commits the DFS part file, returning the group count. Any failure
+// aborts the writer, so a retried attempt starts from a clean slate.
+func (e *Engine) reducePartition(job Job, r int, groups shuffle.GroupSource) (int64, error) {
 	reducer := job.Reducer
 	if job.ReducerFactory != nil {
 		reducer = job.ReducerFactory(r)
 	}
 	w, err := e.fs.Create(PartPath(job.Output, r))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var emitErr error
 	emit := func(k, v string) {
@@ -429,43 +287,17 @@ func (e *Engine) runReduceTask(runID string, job Job, r, numMaps int, tc cluster
 			emitErr = w.WritePair(kv.Pair{Key: k, Value: v})
 		}
 	}
-	var groups int64
-	err = kv.GroupStream(merger, func(g kv.Group) error {
-		groups++
+	var n int64
+	err = groups(func(g kv.Group) error {
+		n++
 		if err := reducer.Reduce(g.Key, g.Values, emit); err != nil {
 			return err
 		}
 		return emitErr
 	})
 	if err != nil {
-		return fmt.Errorf("mr: reduce task %d: %w", r, err)
-	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	report.Add(metrics.CounterReduceGroups, groups)
-	report.Add(metrics.CounterReduceTasks, 1)
-	report.AddStage(metrics.StageReduce, time.Since(reduceStart))
-	return nil
-}
-
-func copyFile(dst, src string) (int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
+		w.Abort()
 		return 0, err
 	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	n, err := io.Copy(out, in)
-	if err != nil {
-		out.Close()
-		return n, err
-	}
-	return n, out.Close()
+	return n, w.Close()
 }

@@ -2,6 +2,9 @@ package mr
 
 import (
 	"fmt"
+	"io/fs"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +18,13 @@ import (
 
 func newEngine(t *testing.T, nodes int, blockSize int64) *Engine {
 	t.Helper()
-	root := t.TempDir()
+	return newEngineIn(t, t.TempDir(), nodes, blockSize)
+}
+
+// newEngineIn builds an engine whose DFS lives under root/dfs and whose
+// node scratch dirs live under root/scratch.
+func newEngineIn(t *testing.T, root string, nodes int, blockSize int64) *Engine {
+	t.Helper()
 	fs, err := dfs.New(dfs.Config{Root: root + "/dfs", BlockSize: blockSize, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +87,35 @@ func outputCounts(t *testing.T, e *Engine, output string, r int) map[string]int 
 		got[p.Key] = n
 	}
 	return got
+}
+
+// filesUnder lists every regular file below dir.
+func filesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// assertJobLeftNothing checks what every job owes the next one, success
+// or failure: no file under any node's scratch dir, and no uncommitted
+// ".tmp" writer directory under the DFS root.
+func assertJobLeftNothing(t *testing.T, root string) {
+	t.Helper()
+	if left := filesUnder(t, filepath.Join(root, "scratch")); len(left) != 0 {
+		t.Errorf("job left %d files under node scratch, e.g. %s", len(left), left[0])
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(root, "dfs", "*.tmp")); len(tmps) != 0 {
+		t.Errorf("job left uncommitted DFS writers: %v", tmps)
+	}
 }
 
 func TestWordCountEndToEnd(t *testing.T) {
@@ -214,29 +252,6 @@ func TestPartitioningSendsKeyToSingleReducer(t *testing.T) {
 	}
 }
 
-func TestCustomPartitioner(t *testing.T) {
-	e := newEngine(t, 2, 1<<20)
-	writeLines(t, e, "in", []string{"a b c d"})
-	if _, err := e.Run(Job{
-		Name: "custom", Input: "in", Output: "out",
-		Mapper: wordCountMapper, Reducer: sumReducer, NumReducers: 2,
-		Partition: func(key string, n int) int { return 0 }, // everything to part 0
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p0, err := e.FS().ReadAllPairs(PartPath("out", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := e.FS().ReadAllPairs(PartPath("out", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p0) != 4 || len(p1) != 0 {
-		t.Fatalf("parts = %d/%d, want 4/0", len(p0), len(p1))
-	}
-}
-
 func TestReduceOutputSortedWithinPartition(t *testing.T) {
 	e := newEngine(t, 1, 1<<20)
 	writeLines(t, e, "in", []string{"b a d c e"})
@@ -289,7 +304,8 @@ func TestMapperErrorPropagates(t *testing.T) {
 }
 
 func TestReducerErrorPropagates(t *testing.T) {
-	e := newEngine(t, 1, 1<<20)
+	root := t.TempDir()
+	e := newEngineIn(t, root, 1, 1<<20)
 	writeLines(t, e, "in", []string{"x"})
 	_, err := e.Run(Job{
 		Name:    "rederr",
@@ -301,17 +317,24 @@ func TestReducerErrorPropagates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bad group") {
 		t.Fatalf("Run = %v, want reducer error", err)
 	}
+	// Every failed attempt aborted its DFS writer, and the failed job
+	// still removed its shuffle scratch.
+	assertJobLeftNothing(t, root)
+	if _, err := e.FS().Stat(PartPath("out", 0)); err == nil {
+		t.Error("failed job committed a part file")
+	}
 }
 
 func TestMapTaskRetryProducesCorrectResult(t *testing.T) {
-	e := newEngine(t, 2, 64)
+	root := t.TempDir()
+	e := newEngineIn(t, root, 2, 64)
 	var lines []string
 	for i := 0; i < 40; i++ {
 		lines = append(lines, "alpha beta")
 	}
 	writeLines(t, e, "in", lines)
-	// Fail the first attempt of every first map/reduce task name that
-	// appears; the engine's attempt-suffixed spills must stay correct.
+	// Fail the first attempt of the first map and reduce task: a failed
+	// map attempt publishes nothing, so the retry cannot duplicate pairs.
 	e.Cluster().InjectFailure(cluster.Failure{Task: "retry-000001/map-0000", Attempt: 1})
 	e.Cluster().InjectFailure(cluster.Failure{Task: "retry-000001/reduce-0000", Attempt: 1})
 	if _, err := e.Run(Job{
@@ -323,6 +346,93 @@ func TestMapTaskRetryProducesCorrectResult(t *testing.T) {
 	got := outputCounts(t, e, "out", 2)
 	if got["alpha"] != 40 || got["beta"] != 40 {
 		t.Fatalf("counts after retries = %v", got)
+	}
+	assertJobLeftNothing(t, root)
+}
+
+// TestSpillsPastFixedBudgetAndCleansUp pushes more intermediate bytes
+// through a vanilla job than its fixed memory budget holds: map output
+// must spill to node scratch, the result must not notice, and the job
+// must remove every spill file before it returns.
+func TestSpillsPastFixedBudgetAndCleansUp(t *testing.T) {
+	root := t.TempDir()
+	e := newEngineIn(t, root, 2, 1<<20)
+	const lines = 40
+	var in []string
+	for i := 0; i < lines; i++ {
+		in = append(in, fmt.Sprintf("k%d", i%2))
+	}
+	writeLines(t, e, "in", in)
+	big := strings.Repeat("x", 2*shuffleBudget/lines) // 2x the budget in all
+	rep, err := e.Run(Job{
+		Name: "spill", Input: "in", Output: "out", NumReducers: 2,
+		Mapper: MapperFunc(func(_, v string, emit Emit) error { emit(v, big); return nil }),
+		Reducer: ReducerFunc(func(k string, vs []string, emit Emit) error {
+			for _, v := range vs {
+				if v != big {
+					return fmt.Errorf("value of %q corrupted through the spill", k)
+				}
+			}
+			emit(k, strconv.Itoa(len(vs)))
+			return nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counter(metrics.CounterSpillRuns) == 0 {
+		t.Fatalf("%d intermediate bytes spilled no runs under a %d-byte budget", rep.Counter(metrics.CounterShuffleBytes), shuffleBudget)
+	}
+	if got := outputCounts(t, e, "out", 2); got["k0"] != lines/2 || got["k1"] != lines/2 {
+		t.Fatalf("counts through the spill = %v", got)
+	}
+	assertJobLeftNothing(t, root)
+}
+
+// TestOutputIndependentOfMapTaskCount runs one input at two DFS block
+// sizes — one map task versus dozens — through an order-sensitive
+// reducer. Values reach Reduce in (key, value) order however the input
+// was split, so the part files hold the same records in the same order.
+func TestOutputIndependentOfMapTaskCount(t *testing.T) {
+	var lines []string
+	for i := 0; i < 400; i++ {
+		// The second word scatters across blocks in non-sorted order.
+		lines = append(lines, fmt.Sprintf("w%02d v%04d", i%13, (i*7919)%1000))
+	}
+	run := func(blockSize int64) (parts [][]kv.Pair, mapTasks int64) {
+		e := newEngine(t, 3, blockSize)
+		writeLines(t, e, "in", lines)
+		rep, err := e.Run(Job{
+			Name: "concat", Input: "in", Output: "out", NumReducers: 3,
+			Mapper: MapperFunc(func(_, v string, emit Emit) error {
+				f := strings.Fields(v)
+				emit(f[0], f[1])
+				return nil
+			}),
+			Reducer: ReducerFunc(func(k string, vs []string, emit Emit) error {
+				emit(k, strings.Join(vs, ","))
+				return nil
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			ps, err := e.FS().ReadAllPairs(PartPath("out", r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, ps)
+		}
+		return parts, rep.Counter(metrics.CounterMapTasks)
+	}
+	small, smallTasks := run(1 << 10)
+	large, largeTasks := run(1 << 20)
+	if smallTasks < 2 || largeTasks != 1 {
+		t.Fatalf("map tasks = %d at 1 KiB blocks, %d at 1 MiB; want many and one", smallTasks, largeTasks)
+	}
+	if !reflect.DeepEqual(small, large) {
+		t.Fatalf("part files differ between %d map tasks and 1:\n%v\n%v", smallTasks, small, large)
 	}
 }
 

@@ -70,9 +70,11 @@ func writeMeta(dir string, n int) error {
 
 // Open creates a store in opts.Dir or recovers the one checkpointed
 // there. The shard count is fixed the first time a directory is opened;
-// later opens adopt the persisted count even if opts.Shards differs. A
-// legacy pre-sharding directory (mrbg.dat with no mrbg.meta) opens as a
-// single shard under its original file names.
+// later opens adopt the persisted count even if opts.Shards differs.
+// Data files without a meta file are refused, never shadowed by a fresh
+// empty store: shard files mean the meta was lost (a new one could
+// reroute every key), and mrbg.dat is the pre-sharding single-file
+// layout, which this version no longer reads.
 func Open(opts Options) (*ShardedStore, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("mrbg: Options.Dir is required")
@@ -86,40 +88,23 @@ func Open(opts Options) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	legacy := false
 	if !ok {
-		switch _, serr := os.Stat(filepath.Join(opts.Dir, legacyDatName)); {
-		case serr == nil:
-			// Pre-sharding layout: keep the original names so the
-			// checkpointed data stays readable; no meta is written.
-			n, legacy = 1, true
-		case !errors.Is(serr, os.ErrNotExist):
-			// A transient stat failure must not shadow existing
-			// checkpointed data with a fresh empty store.
-			return nil, fmt.Errorf("mrbg: probing legacy store: %w", serr)
-		default:
-			// Shard files without a meta file mean the meta was lost:
-			// writing a fresh one could reroute every key and hide the
-			// checkpointed chunks. Refuse rather than guess.
-			if _, serr := os.Stat(filepath.Join(opts.Dir, shardDatName(0))); serr == nil {
-				return nil, fmt.Errorf("mrbg: %s exists but %s is missing (lost meta file?)", shardDatName(0), metaName)
+		for _, dat := range []string{shardDatName(0), "mrbg.dat"} {
+			if _, serr := os.Stat(filepath.Join(opts.Dir, dat)); serr == nil {
+				return nil, fmt.Errorf("mrbg: %s holds %s but no %s (lost meta file, or a pre-sharding store this version cannot read)", opts.Dir, dat, metaName)
 			} else if !errors.Is(serr, os.ErrNotExist) {
-				return nil, fmt.Errorf("mrbg: probing shard files: %w", serr)
+				return nil, fmt.Errorf("mrbg: probing data files: %w", serr)
 			}
-			n = opts.Shards
-			if err := writeMeta(opts.Dir, n); err != nil {
-				return nil, err
-			}
+		}
+		n = opts.Shards
+		if err := writeMeta(opts.Dir, n); err != nil {
+			return nil, err
 		}
 	}
 
 	ss := &ShardedStore{opts: opts, shards: make([]*shard, n)}
 	for i := 0; i < n; i++ {
-		dat, idx := shardDatName(i), shardIdxName(i)
-		if legacy {
-			dat, idx = legacyDatName, legacyIdxName
-		}
-		st, err := openShard(opts, dat, idx)
+		st, err := openShard(opts, i)
 		if err != nil {
 			for _, sh := range ss.shards[:i] {
 				sh.st.Close()
@@ -129,6 +114,21 @@ func Open(opts Options) (*ShardedStore, error) {
 		ss.shards[i] = &shard{st: st}
 	}
 	return ss, nil
+}
+
+// Reset discards everything the store holds, on disk and in memory, and
+// returns a fresh empty store over the same directory and options. The
+// engines use it to drop the partial MRBGraph of an initial run that
+// died before completing. The receiver is closed and must not be used
+// afterwards.
+func (ss *ShardedStore) Reset() (*ShardedStore, error) {
+	if err := ss.Close(); err != nil {
+		return nil, err
+	}
+	if err := os.RemoveAll(ss.opts.Dir); err != nil {
+		return nil, err
+	}
+	return Open(ss.opts)
 }
 
 // shardFor routes a key to its shard (FNV-1a over K2, mod shard count).

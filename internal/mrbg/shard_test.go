@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -271,41 +272,50 @@ func TestShardedMergeAbortLeavesAllShardsUnchanged(t *testing.T) {
 	}
 }
 
-func TestLegacySingleFileStoreOpens(t *testing.T) {
+// TestPreShardingLayoutIsRefused: a directory holding the pre-sharding
+// mrbg.dat but no mrbg.meta must fail Open loudly, and Open must not
+// plant a fresh empty store (a meta file) beside the preserved chunks.
+func TestPreShardingLayoutIsRefused(t *testing.T) {
 	dir := t.TempDir()
-	// Write a pre-sharding layout store: mrbg.dat/mrbg.idx, no meta.
-	opts := Options{Dir: dir}
-	opts.applyDefaults()
-	st, err := openShard(opts, legacyDatName, legacyIdxName)
+	if err := os.WriteFile(filepath.Join(dir, "mrbg.dat"), []byte("preserved chunks"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir, Shards: 8})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open over a bare mrbg.dat succeeded; want a refusal")
+	}
+	if !strings.Contains(err.Error(), "mrbg.dat") {
+		t.Errorf("refusal %q does not name mrbg.dat", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, metaName)); !os.IsNotExist(err) {
+		t.Errorf("refused Open wrote a meta file (err=%v)", err)
+	}
+}
+
+// TestResetDropsContents: Reset returns an empty, usable store over the
+// same directory with the same shard count.
+func TestResetDropsContents(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Merge([]DeltaEdge{{Key: "old-key", MK: 1, V2: "old-val"}}, func(MergeResult) error { return nil }); err != nil {
+	if err := s.Merge([]DeltaEdge{{Key: "k", MK: 1, V2: "v"}}, func(MergeResult) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Open adopts the legacy layout as one shard even when more shards
-	// are requested.
-	s, err := Open(Options{Dir: dir, Shards: 8})
+	s, err = s.Reset()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.NumShards() != 1 {
-		t.Fatalf("legacy store opened with %d shards, want 1", s.NumShards())
+	if s.Len() != 0 || s.NumShards() != 3 {
+		t.Fatalf("after Reset: %d chunks in %d shards, want 0 in 3", s.Len(), s.NumShards())
 	}
-	c, ok, err := s.Get("old-key")
-	if err != nil || !ok || c.Edges[0].V2 != "old-val" {
-		t.Fatalf("Get(old-key) = %+v ok=%v err=%v", c, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, metaName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy open must not write a meta file (err=%v)", err)
+	if err := s.Merge([]DeltaEdge{{Key: "k2", MK: 1, V2: "v"}}, func(MergeResult) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 

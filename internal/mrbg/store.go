@@ -23,9 +23,9 @@
 //	             recovers from it, truncating a partially-appended tail
 //	             if the process died between Checkpoint calls.
 //
-// A legacy single-file store (mrbg.dat/mrbg.idx with no mrbg.meta, the
-// layout before sharding) is recognized and opened as one shard under
-// its original file names.
+// The layout before sharding (mrbg.dat/mrbg.idx with no mrbg.meta) is
+// no longer read: Open refuses such a directory rather than creating an
+// empty store beside the old files.
 //
 // With Shards: 1 (the default) a ShardedStore behaves exactly like the
 // historical single-file store: same emit order, same query results,
@@ -129,7 +129,7 @@ type Options struct {
 	// Shards is the number of independent shard files chunks are
 	// partitioned across by hash(K2). Fixed at store creation and
 	// persisted in mrbg.meta; reopening adopts the persisted count.
-	// Default 1 (the historical single-file layout).
+	// Default 1.
 	Shards int
 	// Parallelism bounds the goroutines fanned out across shards by
 	// Merge, GetMany, Compact, and Checkpoint. Default GOMAXPROCS.
@@ -240,23 +240,18 @@ type Store struct {
 	}
 }
 
-const (
-	legacyDatName = "mrbg.dat"
-	legacyIdxName = "mrbg.idx"
-
-	// minEdgeBytes is the smallest encoded edge: 8 bytes of MK and a
-	// one-byte length of an empty V2.
-	minEdgeBytes = 9
-)
+// minEdgeBytes is the smallest encoded edge: 8 bytes of MK and a
+// one-byte length of an empty V2.
+const minEdgeBytes = 9
 
 // shardDatName / shardIdxName name shard i's files.
 func shardDatName(i int) string { return fmt.Sprintf("mrbg-%d.dat", i) }
 func shardIdxName(i int) string { return fmt.Sprintf("mrbg-%d.idx", i) }
 
-// openShard creates or recovers one shard file pair in opts.Dir. opts
+// openShard creates or recovers shard i's file pair in opts.Dir. opts
 // must already have defaults applied and opts.Dir must exist.
-func openShard(opts Options, datName, idxName string) (*Store, error) {
-	datPath := filepath.Join(opts.Dir, datName)
+func openShard(opts Options, i int) (*Store, error) {
+	datPath := filepath.Join(opts.Dir, shardDatName(i))
 	f, err := os.OpenFile(datPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("mrbg: opening data file: %w", err)
@@ -264,7 +259,7 @@ func openShard(opts Options, datName, idxName string) (*Store, error) {
 	s := &Store{
 		opts:    opts,
 		datPath: datPath,
-		idxPath: filepath.Join(opts.Dir, idxName),
+		idxPath: filepath.Join(opts.Dir, shardIdxName(i)),
 		f:       f,
 		index:   make(map[string]loc),
 		pending: make(map[string]loc),

@@ -195,105 +195,31 @@ func TestCorruptionSweepNeverPanics(t *testing.T) {
 	}
 }
 
-// writeV1Segment hand-writes a legacy flat-format segment: bare
-// encodeRecord frames, no header, no blocks, no bloom filter.
-func writeV1Segment(t *testing.T, path string, recs []record) {
-	t.Helper()
-	var buf []byte
-	for _, r := range recs {
-		buf = encodeRecord(buf, r)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+// TestFlatSegmentIsRefused lays a directory out the way the pre-block
+// (v1) format did — a manifest naming a flat stream of bare record
+// frames — and checks Open refuses it loudly: the error wraps
+// blockio.ErrNotBlockFile and names the file, and the store is never
+// opened as if it were empty.
+func TestFlatSegmentIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	flat := encodeRecord(nil, record{key: "a", pairs: []kv.Pair{{Key: "a", Value: "old"}}})
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.seg"), flat, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestV1MigrationReadAndCompactForward opens a directory laid out by
-// the pre-block (v1) format — flat segments plus a manifest — verifies
-// every read path works unchanged, then compacts and confirms the data
-// was rewritten forward into v2 block segments with identical contents.
-func TestV1MigrationReadAndCompactForward(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Segment(t, filepath.Join(dir, "seg-000001.seg"), []record{
-		{key: "a", pairs: []kv.Pair{{Key: "a", Value: "old"}}},
-		{key: "b", pairs: []kv.Pair{{Key: "b", Value: "1"}}},
-		{key: "c", pairs: []kv.Pair{{Key: "c", Value: "stale"}}},
-	})
-	writeV1Segment(t, filepath.Join(dir, "seg-000002.seg"), []record{
-		{key: "a", pairs: []kv.Pair{{Key: "a", Value: "new"}, {Key: "a2", Value: "x"}}},
-		{key: "c", tomb: true},
-		{key: "d", pairs: []kv.Pair{{Key: "d", Value: "4"}}},
-	})
-	manifest := "results v1\nseq=2\nlast=\nseg=seg-000001.seg\nseg=seg-000002.seg\n"
+	manifest := "results v1\nseq=1\nlast=\nseg=seg-000001.seg\n"
 	if err := os.WriteFile(filepath.Join(dir, "results.meta"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	want := map[string][]kv.Pair{
-		"a": {{Key: "a", Value: "new"}, {Key: "a2", Value: "x"}},
-		"b": {{Key: "b", Value: "1"}},
-		"d": {{Key: "d", Value: "4"}},
+	s, err := Open(Options{Dir: dir})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open read a flat v1 segment; want a refusal")
 	}
-
-	s := mustOpen(t, dir, 0)
-	if !s.Initialized() {
-		t.Fatal("v1 store not recognized as initialized")
+	if !errors.Is(err, blockio.ErrNotBlockFile) {
+		t.Errorf("refusal %q does not wrap blockio.ErrNotBlockFile", err)
 	}
-	for _, seg := range s.segs {
-		if seg.bf != nil || seg.index == nil {
-			t.Fatalf("segment %s not opened via the v1 fallback", seg.path)
-		}
-	}
-	if got := collect(t, s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 read: got %v want %v", got, want)
-	}
-	if ps, ok, err := s.Get("a"); err != nil || !ok || !reflect.DeepEqual(ps, want["a"]) {
-		t.Fatalf("v1 Get(a) = %v %v %v", ps, ok, err)
-	}
-	if _, ok, err := s.Get("c"); err != nil || ok {
-		t.Fatalf("v1 tombstoned Get(c) = %v %v", ok, err)
-	}
-
-	// Compaction must rewrite the data forward into the block format.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs := segmentFiles(t, dir)
-	if len(segs) != 1 {
-		t.Fatalf("post-compaction segments = %v", segs)
-	}
-	head := make([]byte, 4)
-	f, err := os.Open(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(head, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if string(head) != "i2sb" {
-		t.Fatalf("compacted segment magic = %q, want block format", head)
-	}
-
-	// Reopen: the rewritten store serves the same data, now via blooms.
-	s = mustOpen(t, dir, 0)
-	defer s.Close()
-	for _, seg := range s.segs {
-		if seg.bf == nil {
-			t.Fatalf("segment %s still v1 after compaction", seg.path)
-		}
-	}
-	if got := collect(t, s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 read after migration: got %v want %v", got, want)
-	}
-	if _, ok, err := s.Get("absent"); err != nil || ok {
-		t.Fatalf("Get(absent) = %v %v", ok, err)
-	}
-	if st := s.Stats(); st.BloomSkips == 0 {
-		t.Fatal("absent-key Get on migrated store did not use the bloom filter")
+	if !strings.Contains(err.Error(), "seg-000001.seg") {
+		t.Errorf("refusal %q does not name the file", err)
 	}
 }
 

@@ -27,11 +27,10 @@
 // optionally compressed, under a sparse first-key-per-block index and a
 // per-segment bloom filter. A point lookup probes the bloom filter
 // (an absent key usually costs zero I/O), then reads exactly one block.
-// Legacy v1 segments — flat record streams indexed by a full in-memory
-// key map built at Open — remain readable forever: Open sniffs each
-// file's magic and falls back, and the next compaction rewrites the
-// data forward into v2. The manifest format is unchanged ("results v1"
-// names the manifest schema; segments self-describe their own format).
+// A manifest naming a file that is not a block file — the flat v1
+// segment layout of early versions, or damage — fails Open with an
+// error wrapping blockio.ErrNotBlockFile; it is never read as empty.
+// ("results v1" names the manifest schema, not a segment format.)
 //
 // Mutations accumulate in an in-memory memtable; Checkpoint flushes it
 // as a new segment and persists the manifest. Reads overlay the
@@ -59,7 +58,6 @@
 package results
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -142,21 +140,13 @@ type entry struct {
 	tomb  bool
 }
 
-// segLoc locates one group record inside a segment file.
-type segLoc struct {
-	off int64
-	len int64
-}
-
-// segment is one immutable sorted run of group records. Exactly one of
-// bf (v2 block format) and index (legacy v1 flat format) is set; the
-// file and both never change after creation. The lifecycle fields
-// below are guarded by the owning Store's mu.
+// segment is one immutable sorted run of group records in the v2 block
+// format; the file and its parsed footer never change after creation.
+// The lifecycle fields below are guarded by the owning Store's mu.
 type segment struct {
 	path  string
 	f     *os.File
-	bf    *blockio.File     // v2: parsed block index + bloom filter
-	index map[string]segLoc // v1: full in-memory key → location map
+	bf    *blockio.File // parsed block index + bloom filter
 	bytes int64
 
 	// refs counts snapshots (and transient point-read pins) holding the
@@ -486,18 +476,6 @@ func (s *Store) getFromSegments(segs []*segment, key string) ([]kv.Pair, bool, e
 // that segment (the bloom filter never false-negatives, and the block
 // scan is exact), so callers fall through to the next older segment.
 func (s *Store) segGet(seg *segment, key string) (record, bool, error) {
-	if seg.bf == nil {
-		// v1 flat segment: full in-memory index, definitive either way.
-		l, ok := seg.index[key]
-		if !ok {
-			return record{}, false, nil
-		}
-		rec, err := seg.readRecord(l)
-		if err != nil {
-			return record{}, false, err
-		}
-		return rec, true, nil
-	}
 	if !seg.bf.MayContain(key) {
 		s.bloomSkips.Add(1)
 		return record{}, false, nil
@@ -684,8 +662,8 @@ func (sn *Snapshot) Get(key string) ([]kv.Pair, bool, error) {
 // the lookup touches is materialized into (or served from) bc, so a
 // working set of hot blocks is decoded once per cache lifetime instead
 // of once per lookup. fromCache reports whether the answer came from a
-// cached block (false for memtable-overlay answers, v1 segments, and
-// overall misses). The serving layer keys one BlockCache per epoch;
+// cached block (false for memtable-overlay answers and overall
+// misses). The serving layer keys one BlockCache per epoch;
 // because segments are immutable a cached block can never be stale.
 func (sn *Snapshot) GetCached(key string, bc *BlockCache) (pairs []kv.Pair, found, fromCache bool, err error) {
 	if e, ok := sn.overlay[key]; ok {
@@ -696,7 +674,7 @@ func (sn *Snapshot) GetCached(key string, bc *BlockCache) (pairs []kv.Pair, foun
 	}
 	for i := len(sn.segs) - 1; i >= 0; i-- {
 		seg := sn.segs[i]
-		if seg.bf == nil || bc == nil {
+		if bc == nil {
 			rec, ok, err := sn.s.segGet(seg, key)
 			if err != nil {
 				return nil, false, false, err
@@ -1110,17 +1088,6 @@ func (r *sliceRecordSource) next() (record, error) {
 	return rec, nil
 }
 
-// fileRecordSource streams a v1 flat segment file sequentially.
-type fileRecordSource struct {
-	r       *bufio.Reader
-	scratch []byte
-}
-
-func (f *fileRecordSource) next() (record, error) {
-	rec, _, err := readRecordFrom(f.r, &f.scratch)
-	return rec, err
-}
-
 // blockRecordSource streams a v2 block segment: blocks are read one at
 // a time into a pooled buffer and decoded in place.
 type blockRecordSource struct {
@@ -1177,12 +1144,7 @@ func mergeRecords(segs []*segment, overlay []record, fn func(r record) error) er
 	sources := make([]recordSource, 0, len(segs)+1)
 	sources = append(sources, &sliceRecordSource{recs: overlay})
 	for i := len(segs) - 1; i >= 0; i-- {
-		if segs[i].bf != nil {
-			sources = append(sources, &blockRecordSource{bf: segs[i].bf})
-			continue
-		}
-		sr := io.NewSectionReader(segs[i].f, 0, segs[i].bytes)
-		sources = append(sources, &fileRecordSource{r: bufio.NewReaderSize(sr, 64<<10)})
+		sources = append(sources, &blockRecordSource{bf: segs[i].bf})
 	}
 	defer func() {
 		for _, src := range sources {
@@ -1272,85 +1234,6 @@ func encodeRecord(buf []byte, r record) []byte {
 // maxFieldLen bounds any single decoded field, turning a corrupted
 // length prefix into an error instead of a huge allocation.
 const maxFieldLen = 64 << 20
-
-func uvarintLen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// readString decodes one length-prefixed field through *scratch — a
-// reused buffer that grows to the largest field seen — so a stream
-// scan allocates one string per field instead of a string plus a
-// throwaway byte slice.
-func readString(r *bufio.Reader, scratch *[]byte) (string, int64, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", 0, err
-	}
-	if n > maxFieldLen {
-		return "", 0, fmt.Errorf("results: corrupt field length %d", n)
-	}
-	if uint64(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
-	}
-	b := (*scratch)[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", 0, fmt.Errorf("results: truncated field: %w", err)
-	}
-	return string(b), uvarintLen(n) + int64(n), nil
-}
-
-// readRecordFrom decodes the next record of a v1 flat segment stream,
-// also returning its encoded length (so segment scans can index
-// offsets from the single decode pass); io.EOF signals a clean end.
-// scratch is the reused field buffer handed to readString.
-func readRecordFrom(r *bufio.Reader, scratch *[]byte) (record, int64, error) {
-	key, sz, err := readString(r, scratch)
-	if err != nil {
-		if err == io.EOF {
-			return record{}, 0, io.EOF
-		}
-		return record{}, 0, fmt.Errorf("results: corrupt record key: %w", err)
-	}
-	kind, err := r.ReadByte()
-	if err != nil {
-		return record{}, 0, fmt.Errorf("results: truncated record kind: %w", err)
-	}
-	sz++
-	switch kind {
-	case 0:
-		return record{key: key, tomb: true}, sz, nil
-	case 1:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return record{}, 0, fmt.Errorf("results: corrupt pair count: %w", err)
-		}
-		if n > maxFieldLen {
-			return record{}, 0, fmt.Errorf("results: corrupt pair count %d", n)
-		}
-		sz += uvarintLen(n)
-		pairs := make([]kv.Pair, 0, n)
-		for i := uint64(0); i < n; i++ {
-			k, kn, err := readString(r, scratch)
-			if err != nil {
-				return record{}, 0, fmt.Errorf("results: corrupt pair key: %w", err)
-			}
-			v, vn, err := readString(r, scratch)
-			if err != nil {
-				return record{}, 0, fmt.Errorf("results: corrupt pair value: %w", err)
-			}
-			sz += kn + vn
-			pairs = append(pairs, kv.Pair{Key: k, Value: v})
-		}
-		return record{key: key, pairs: pairs}, sz, nil
-	default:
-		return record{}, 0, fmt.Errorf("results: invalid record kind %d", kind)
-	}
-}
 
 // splitField splits one length-prefixed field off the front of buf,
 // returning the field (aliasing buf — zero copy) and the bytes
@@ -1534,9 +1417,8 @@ func (sw *segmentWriter) abort() {
 	os.Remove(sw.path)
 }
 
-// openSegment opens an existing segment of either format: a v2 block
-// file's footer is parsed directly; a legacy v1 flat file (no block
-// magic) gets its in-memory index rebuilt with one sequential scan.
+// openSegment opens an existing segment by parsing its block-file
+// footer. A file in any other format is an error naming the file.
 func (s *Store) openSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1548,43 +1430,12 @@ func (s *Store) openSegment(path string) (*segment, error) {
 		return nil, fmt.Errorf("results: opening segment: %w", err)
 	}
 	bf, err := blockio.Open(f, fi.Size())
-	if err == nil {
-		bf.SetStats(&s.fileStats)
-		return &segment{path: path, f: f, bf: bf, bytes: fi.Size()}, nil
-	}
-	if !errors.Is(err, blockio.ErrNotBlockFile) {
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("results: %s: %w", path, err)
 	}
-	// v1 flat segment.
-	index := make(map[string]segLoc)
-	r := bufio.NewReaderSize(f, 64<<10)
-	var off int64
-	var scratch []byte
-	for {
-		rec, n, err := readRecordFrom(r, &scratch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("results: %s: %w", path, err)
-		}
-		index[rec.key] = segLoc{off: off, len: n}
-		off += n
-	}
-	return &segment{path: path, f: f, index: index, bytes: off}, nil
-}
-
-// readRecord decodes the v1 record at l. Uses ReadAt, so any number of
-// concurrent readers share the segment file safely.
-func (seg *segment) readRecord(l segLoc) (record, error) {
-	buf := make([]byte, l.len)
-	if _, err := seg.f.ReadAt(buf, l.off); err != nil {
-		return record{}, fmt.Errorf("results: segment read: %w", err)
-	}
-	rec, _, err := decodeRecord(buf)
-	return rec, err
+	bf.SetStats(&s.fileStats)
+	return &segment{path: path, f: f, bf: bf, bytes: fi.Size()}, nil
 }
 
 // ---------------------------------------------------------------------

@@ -65,8 +65,8 @@ func (b *Buffer) NewEmitter() *Emitter {
 }
 
 // Emit stages one intermediate pair. I/O errors from staging spills are
-// remembered and returned by Err (and by Publish), so user Map
-// functions keep their error-free emit signature.
+// remembered and returned by Publish, so user Map functions keep their
+// error-free emit signature.
 func (e *Emitter) Emit(key, value string) {
 	if e.err != nil {
 		return
@@ -139,9 +139,6 @@ func (e *Emitter) flushSkew() {
 	}
 	e.skewCnt, e.skewN = nil, 0
 }
-
-// Err returns the first staging error, if any.
-func (e *Emitter) Err() error { return e.err }
 
 // Publish atomically registers the staged output with the shared
 // Buffer: spilled runs and residual pairs become visible to reducers,

@@ -1,8 +1,7 @@
-// Package shuffle is the streaming shuffle runtime shared by the
-// iterative engines (internal/iter and internal/core). It replaces the
-// engines' former private iteration loops, which buffered the whole
-// intermediate dataset behind one global mutex and re-sorted every
-// partition from scratch each iteration.
+// Package shuffle is the streaming shuffle runtime every engine in the
+// module runs on: the vanilla engine (internal/mr) and through it the
+// baselines, the one-step delta refresh (internal/incr), and the
+// iterative engines (internal/iter and internal/core).
 //
 // The runtime has three pieces:
 //
@@ -20,8 +19,8 @@
 //     kv.SortPairs' total order, reduce groups are byte-identical at
 //     any budget, spill count, or emit interleaving.
 //
-// Iteration (iteration.go) layers the prime Map -> shuffle -> prime
-// Reduce task scaffolding on top, so both engines run the same loop.
+// Iteration (iteration.go) layers the Map -> shuffle -> Reduce task
+// scaffolding on top, so all engines run the same pass.
 package shuffle
 
 import (
@@ -391,10 +390,9 @@ func (b *Buffer) Bytes() int64 {
 }
 
 // SortDuration returns the cumulative time attributed to StageSort so
-// far (spill sort+write, residue sort; see Buffer.sortNanos). Drivers
-// that time map/reduce task windows around Emit/Reduce calls subtract
-// it so Report.Total() counts the sort work exactly once — see
-// Iteration.Run and the one-step engine's delta refresh.
+// far (spill sort+write, residue sort; see Buffer.sortNanos).
+// Iteration.Run times map/reduce task windows around Emit/Reduce calls
+// and subtracts it so Report.Total() counts the sort work exactly once.
 func (b *Buffer) SortDuration() time.Duration {
 	return time.Duration(b.sortNanos.Load())
 }

@@ -367,7 +367,7 @@ func TestDriverRetryDoesNotDuplicate(t *testing.T) {
 		MemoryBudget: 64,
 		ScratchDir:   func(p int) string { return filepath.Join(root, "spill", fmt.Sprintf("p%d", p)) },
 		Report:       rep,
-		MapPartition: func(p int, emit func(k, v string)) (int64, error) {
+		MapTask: func(p int, emit func(k, v string)) (int64, error) {
 			attemptsMu.Lock()
 			attempts[p]++
 			first := attempts[p] == 1
@@ -388,7 +388,7 @@ func TestDriverRetryDoesNotDuplicate(t *testing.T) {
 				return nil
 			})
 		},
-	}.Run()
+	}.Run(cl.PartitionNodes(parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +410,46 @@ func TestDriverRetryDoesNotDuplicate(t *testing.T) {
 	// sorts leaked into the accounting.
 	if d := rep.Snapshot().Stages[metrics.StageMap]; d < 0 {
 		t.Fatalf("StageMap = %v; discarded attempts corrupted the stage rebalance", d)
+	}
+}
+
+// TestDriverZeroMapTasksStillReduces: the map task count is the
+// caller's input and zero is a count, not "default to Partitions" — an
+// empty input runs no map task and still runs every reduce task, so
+// every (empty) part file gets written.
+func TestDriverZeroMapTasksStillReduces(t *testing.T) {
+	root := t.TempDir()
+	cl, err := cluster.New(cluster.Config{Nodes: 2, ScratchRoot: filepath.Join(root, "scratch")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parts = 3
+	var reduced [parts]int
+	rep := &metrics.Report{}
+	err = Iteration{
+		Name:       "empty",
+		Partitions: parts,
+		NumNodes:   cl.NumNodes(),
+		RunTasks:   func(ts []cluster.Task) error { _, err := cl.Run(ts); return err },
+		Report:     rep,
+		MapTask: func(m int, emit func(k, v string)) (int64, error) {
+			return 0, fmt.Errorf("map task %d ran on an empty input", m)
+		},
+		ReducePartition: func(p int, groups GroupSource) error {
+			reduced[p]++ // one task per partition: no two touch the same slot
+			return groups(func(g kv.Group) error { return fmt.Errorf("group %q from nowhere", g.Key) })
+		},
+	}.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, n := range reduced {
+		if n != 1 {
+			t.Errorf("reduce task %d ran %d times, want 1", p, n)
+		}
+	}
+	if got := rep.Counter(metrics.CounterMapRecordsOut); got != 0 {
+		t.Errorf("map.records.out = %d, want 0", got)
 	}
 }
 
@@ -441,7 +481,7 @@ func TestIterationDriver(t *testing.T) {
 		MemoryBudget: 512,
 		ScratchDir:   func(p int) string { return filepath.Join(root, "spill", fmt.Sprintf("p%d", p)) },
 		Report:       rep,
-		MapPartition: func(p int, emit func(k, v string)) (int64, error) {
+		MapTask: func(p int, emit func(k, v string)) (int64, error) {
 			for _, pr := range inputs[p] {
 				emit(pr.Key, pr.Value)
 			}
@@ -458,7 +498,7 @@ func TestIterationDriver(t *testing.T) {
 				return nil
 			})
 		},
-	}.Run()
+	}.Run(cl.PartitionNodes(parts))
 	if err != nil {
 		t.Fatal(err)
 	}
