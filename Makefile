@@ -22,8 +22,9 @@ race:
 #     godoc-complete.
 #   - i2vet (internal/tools/vet) enforces repo invariants: atomic
 #     commit sequences, centralized counter names, sorted map emission,
-#     checked Close/Flush/Sync, par.Do fan-out. Its summary line
-#     ("i2vet: atomicwrite=0 ...") prints per-analyzer counts; it is
+#     checked Close/Flush/Sync, par.Do fan-out and task waves built
+#     only by shuffle.Iteration (both rawgo). Its summary line ("i2vet:
+#     atomicwrite=0 ... rawgo=0") prints per-analyzer counts; it is
 #     BLOCKING here and in CI. Exemptions need a justified
 #     //i2vet:allow directive (see DESIGN.md "Enforced invariants").
 #   - staticcheck is ADVISORY locally (runs only when installed, so
@@ -52,8 +53,9 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Fuzz the decode boundaries that accept bytes from disk: the block
-# segment format, the MRBG-Store chunk frame, the ingest staging log,
-# and the kv text codec. Each
+# segment format, the MRBG-Store chunk frame, the MRBGraph-edge shuffle
+# value (it crosses spill runs), the ingest staging log, and the kv
+# text codec. Each
 # target gets FUZZTIME of coverage-guided input generation (the go tool
 # runs one -fuzz pattern per invocation). Seeds are valid encodes plus
 # byte-flipped variants, mirroring the deterministic corruption-sweep
@@ -63,6 +65,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFile$$' -fuzztime $(FUZZTIME) ./internal/blockio
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/mrbg
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEdgeValue$$' -fuzztime $(FUZZTIME) ./internal/mrbg
 	$(GO) test -run '^$$' -fuzz '^FuzzWALLine$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzEscapeField$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzTextDelta$$' -fuzztime $(FUZZTIME) ./internal/kv

@@ -181,10 +181,10 @@ type Options struct {
 	// StoreParallelism bounds the per-store shard fan-out; jobs that
 	// set StoreOpts.Parallelism win. Defaults to GOMAXPROCS.
 	StoreParallelism int
-	// ShuffleMemoryBudget is the default per-iteration memory budget of
-	// the iterative engines' streaming shuffle: beyond it, map output
-	// spills to node-local scratch as sorted runs ("shuffle.spill.runs"
-	// / "shuffle.spill.bytes" count the spills). Runners whose config
+	// ShuffleMemoryBudget is the default memory budget of every pass's
+	// streaming shuffle (full and incremental iterations, delta
+	// refreshes): beyond it, map output spills to node-local scratch as
+	// sorted runs ("shuffle.spill.*" count the spills). Runners whose config
 	// sets the budget themselves win: a positive config value overrides
 	// this default, and a negative one explicitly opts the runner out
 	// of spilling. 0 here (the default) keeps all intermediate data in

@@ -577,7 +577,7 @@ func Fig13(env *Env, sc Scale) (*Fig13Result, error) {
 		Task: "fig13/j2-it001/reduce-0000", Attempt: 1, Delay: 5 * time.Millisecond,
 	})
 	env.Eng.Cluster().InjectFailure(cluster.Failure{
-		Task: "fig13/j2-statemap-0001", Attempt: 1, Delay: 5 * time.Millisecond,
+		Task: "fig13/j2-it002/map-0001", Attempt: 1, Delay: 5 * time.Millisecond,
 	})
 	env.Eng.Cluster().InjectFailure(cluster.Failure{
 		Task: "fig13/j2-it002/reduce-0001", Attempt: 1, Delay: 5 * time.Millisecond, DownNode: true,

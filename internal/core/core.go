@@ -21,14 +21,11 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,11 +78,13 @@ type Config struct {
 	PDeltaThreshold float64
 	// StoreOpts templates the per-partition MRBG-Store options.
 	StoreOpts mrbg.Options
-	// ShuffleMemoryBudget bounds the bytes of intermediate data the
-	// full-pass shuffle buffers in memory per iteration; beyond it, map
-	// output spills to node-local scratch as sorted runs streamed back
-	// through a k-way merge ("shuffle.spill.runs" /
-	// "shuffle.spill.bytes"). <= 0 keeps everything in memory; when the
+	// ShuffleMemoryBudget bounds the bytes of intermediate data every
+	// pass — full iteration, incremental iteration, preserve pass —
+	// holds in memory: beyond it, map output spills to node-local
+	// scratch as sorted runs streamed back through a k-way merge
+	// ("shuffle.spill.runs" / "shuffle.spill.bytes"), and an incremental
+	// reduce merges its delta MRBGraph into the store in batches of its
+	// partition's share. <= 0 keeps everything in memory; when the
 	// runner is built through i2mr.System, 0 inherits the System-wide
 	// default and a negative value explicitly opts out of spilling.
 	ShuffleMemoryBudget int64
@@ -108,8 +107,8 @@ type Config struct {
 	SegmentBlockBytes  int
 	SegmentCompression string
 	BloomBitsPerKey    int
-	// SkewRatio / SkewFanOut configure hot-key skew mitigation in the
-	// full-pass shuffle (shuffle.Config): a K2 whose share of its
+	// SkewRatio / SkewFanOut configure hot-key skew mitigation in every
+	// pass's shuffle (shuffle.Config): a K2 whose share of its
 	// partition's intermediate records exceeds SkewRatio is split
 	// across sub-keys and merged back byte-identically at reduce.
 	// 0 disables; when built through i2mr.System, 0 inherits the
@@ -208,14 +207,12 @@ type Runner struct {
 
 // NewRunner validates the spec and prepares stores and scratch space.
 func NewRunner(eng *mr.Engine, spec Spec, cfg Config) (*Runner, error) {
-	probe, err := iter.NewRunner(eng, spec, iter.Config{
-		NumPartitions: cfg.NumPartitions,
-		InitialState:  cfg.InitialState,
-	})
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	_ = probe // validation only; core runs its own loop
+	if spec.ReplicateState && cfg.InitialState == nil {
+		return nil, errors.New("core: ReplicateState requires Config.InitialState")
+	}
 	if cfg.NumPartitions <= 0 {
 		cfg.NumPartitions = eng.Cluster().NumNodes()
 	}
@@ -352,13 +349,6 @@ func (r *Runner) structPath(p int) string {
 	return filepath.Join(r.eng.Cluster().PartitionDir(p), "core", cluster.SafeName(r.spec.Name), fmt.Sprintf("part-%04d.struct", p))
 }
 
-// shuffleDir names the node-local spill directory of one iteration's
-// partition p (jobSeq disambiguates iterations across jobs).
-func (r *Runner) shuffleDir(it, p int) string {
-	return filepath.Join(r.eng.Cluster().PartitionDir(p), "core-shuffle", cluster.SafeName(r.spec.Name),
-		fmt.Sprintf("j%d-it%03d-part-%04d", r.jobSeq, it, p))
-}
-
 // runTasks executes tasks on the cluster and accumulates their events
 // into the job timeline, offset by the job's start time.
 func (r *Runner) runTasks(tasks []cluster.Task) error {
@@ -372,6 +362,60 @@ func (r *Runner) runTasks(tasks []cluster.Task) error {
 	}
 	r.mu.Unlock()
 	return err
+}
+
+// runPass runs one Map -> shuffle -> Reduce pass of job r.jobSeq on the
+// shared driver (shuffle.Iteration): every task wave after structure
+// loading is one of these. label names the pass within the job ("it003",
+// "merge", "preserve"): tasks are <spec>/j<seq>-<label>/map-<mmmm> and
+// .../reduce-<pppp>, spills go under the reducing node's
+// core-shuffle/<spec>/. Map task m runs mapPart over partition parts[m]
+// (a full pass names every partition, an incremental one only those
+// holding delta input); reduce runs once per partition.
+func (r *Runner) runPass(label string, rep *metrics.Report, parts []int,
+	mapPart func(p int, emit func(k2, v2 string)) (int64, error),
+	reduce func(p int, groups shuffle.GroupSource) error) error {
+	cl, spec := r.eng.Cluster(), cluster.SafeName(r.spec.Name)
+	nodes := make([]int, len(parts))
+	for m, p := range parts {
+		nodes[m] = p % cl.NumNodes()
+	}
+	err := shuffle.Iteration{
+		Name:         fmt.Sprintf("%s/j%d-%s", spec, r.jobSeq, label),
+		Partitions:   r.n,
+		NumNodes:     cl.NumNodes(),
+		RunTasks:     r.runTasks,
+		MemoryBudget: r.cfg.ShuffleMemoryBudget,
+		ScratchDir: func(p int) string {
+			return filepath.Join(cl.PartitionDir(p), "core-shuffle", spec, fmt.Sprintf("j%d-%s-part-%04d", r.jobSeq, label, p))
+		},
+		SkewRatio:       r.cfg.SkewRatio,
+		SkewFanOut:      r.cfg.SkewFanOut,
+		Report:          rep,
+		MapTask:         func(m int, emit func(k2, v2 string)) (int64, error) { return mapPart(parts[m], emit) },
+		ReducePartition: reduce,
+	}.Run(nodes)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", label, err)
+	}
+	return nil
+}
+
+// allParts names every partition: the map side of a full pass.
+func (r *Runner) allParts() []int {
+	parts := make([]int, r.n)
+	for p := range parts {
+		parts[p] = p
+	}
+	return parts
+}
+
+// mapEdges is the map side of the passes that produce MRBGraph edges:
+// it runs the prime Map over one structure record of partition p with
+// its current state value, emitting in the MRBGraph-edge wire format.
+func (r *Runner) mapEdges(p int, sk, sv string, seq uint64, del bool, emit func(k2, v2 string)) error {
+	dk := r.spec.Project(sk)
+	return r.spec.Map(sk, sv, dk, r.stateOrInit(p, dk), mrbg.EdgeEmit(sk, sv, seq, del, emit))
 }
 
 // stateOrInit returns the current state value for dk in partition p.
@@ -415,44 +459,21 @@ func (r *Runner) StateKeyCount() int {
 	return n
 }
 
-// loadStructure partitions the structure input (Eq. 2), builds the
-// per-partition files + span indexes, and initializes state.
+// loadStructure partitions the structure input (Eq. 2) through the
+// iterative model's own partitioning wave, builds the per-partition
+// files + span indexes, and initializes state.
 func (r *Runner) loadStructure(input string) error {
-	fi, err := r.eng.FS().Stat(input)
-	if err != nil {
-		return fmt.Errorf("core: structure input: %w", err)
-	}
 	project := r.spec.Project
 	if r.spec.ReplicateState {
 		project = nil
 	}
-	parts := make([][]kv.Pair, r.n)
-	for b := 0; b < len(fi.Blocks); b++ {
-		br, err := r.eng.FS().OpenBlock(input, b)
-		if err != nil {
-			return err
-		}
-		for {
-			p, err := br.ReadPair()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				br.Close()
-				return err
-			}
-			i := r.partitionOf(p.Key)
-			parts[i] = append(parts[i], p)
-		}
-		br.Close()
+	parts, err := iter.PartitionStructure(r.eng, r.spec.Name, input, r.n, r.partitionOf, r.runTasks)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	r.parts = make([]*structPart, r.n)
 	if r.spec.ReplicateState {
-		init := make(map[string]string, len(r.cfg.InitialState))
-		for k, v := range r.cfg.InitialState {
-			init[k] = v
-		}
-		r.setGlobal(init)
+		r.setGlobal(maps.Clone(r.cfg.InitialState))
 	} else {
 		r.state = make([]map[string]string, r.n)
 		r.last = make([]map[string]string, r.n)
@@ -506,11 +527,10 @@ func (r *Runner) RunInitial(input string) (*Result, error) {
 	}
 	res := &Result{Report: &metrics.Report{}}
 	for it := 1; it <= r.cfg.MaxIterations; it++ {
-		stats, err := r.runFullIteration(it)
+		stats, err := r.runFullIteration(it, res.Report)
 		if err != nil {
 			return nil, err
 		}
-		stats.MRBGOn = false
 		res.PerIter = append(res.PerIter, stats)
 		res.Iterations = it
 		if stats.Propagated == 0 {
@@ -519,7 +539,7 @@ func (r *Runner) RunInitial(input string) (*Result, error) {
 		}
 	}
 	if r.mrbgOn {
-		if err := r.preservePass(); err != nil {
+		if err := r.preservePass(res.Report); err != nil {
 			return nil, err
 		}
 	}
@@ -538,12 +558,10 @@ func (r *Runner) RunInitial(input string) (*Result, error) {
 	return res, nil
 }
 
+// finishResult stamps the job-level counters and the task timeline on
+// res; every pass already merged its own stages and counters into
+// res.Report when it completed.
 func (r *Runner) finishResult(res *Result) {
-	for _, s := range res.PerIter {
-		for _, st := range metrics.Stages() {
-			res.Report.AddStage(st, s.Stages.Stages[st])
-		}
-	}
 	res.Report.Add(metrics.CounterIterations, int64(res.Iterations))
 	segs, comp := r.stateStoreStats()
 	res.Report.Add(metrics.CounterStateSegments, segs)
@@ -589,31 +607,20 @@ func (r *Runner) resetLastEmitted() {
 
 // runFullIteration is one complete prime Map -> shuffle -> prime
 // Reduce pass over all structure records (used by the initial run and
-// by MRBG-off mode), executed on the shared streaming shuffle runtime
-// (internal/shuffle). State updates apply in place; Propagated counts
-// keys that changed beyond the active threshold.
-func (r *Runner) runFullIteration(it int) (IterStats, error) {
+// by MRBG-off mode). State updates apply in place; Propagated counts
+// keys that changed beyond the active threshold. The pass's stages and
+// counters land in the returned stats and merge into job.
+func (r *Runner) runFullIteration(it int, job *metrics.Report) (IterStats, error) {
 	start := time.Now()
 	rep := &metrics.Report{}
 
-	propagated := 0
-	filtered := 0
-	var statMu sync.Mutex
+	var mu sync.Mutex // guards the pass's accumulators
+	propagated, filtered := 0, 0
 	var allOuts []kv.Pair // ReplicateState only
-	var outsMu sync.Mutex
 	thr := r.threshold()
 
-	err := shuffle.Iteration{
-		Name:         fmt.Sprintf("%s/j%d-it%03d", cluster.SafeName(r.spec.Name), r.jobSeq, it),
-		Partitions:   r.n,
-		NumNodes:     r.eng.Cluster().NumNodes(),
-		RunTasks:     r.runTasks,
-		MemoryBudget: r.cfg.ShuffleMemoryBudget,
-		ScratchDir:   func(p int) string { return r.shuffleDir(it, p) },
-		SkewRatio:    r.cfg.SkewRatio,
-		SkewFanOut:   r.cfg.SkewFanOut,
-		Report:       rep,
-		MapTask: func(p int, emit func(k2, v2 string)) (int64, error) {
+	err := r.runPass(fmt.Sprintf("it%03d", it), rep, r.allParts(),
+		func(p int, emit func(k2, v2 string)) (int64, error) {
 			var repDK, repDV string
 			if r.spec.ReplicateState {
 				g := r.globalView()
@@ -636,7 +643,7 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 			})
 			return recs, err
 		},
-		ReducePartition: func(p int, groups shuffle.GroupSource) error {
+		func(p int, groups shuffle.GroupSource) error {
 			getter := r.stateGetterFor(p)
 			type upd struct{ dk, dv string }
 			var ups []upd
@@ -654,9 +661,9 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 				return err
 			}
 			if r.spec.ReplicateState {
-				outsMu.Lock()
+				mu.Lock()
 				allOuts = append(allOuts, outs...)
-				outsMu.Unlock()
+				mu.Unlock()
 				return nil
 			}
 			nProp, nFilt := 0, 0
@@ -675,15 +682,14 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 				r.setStateLocked(p, u.dk, u.dv)
 			}
 			r.mu.Unlock()
-			statMu.Lock()
+			mu.Lock()
 			propagated += nProp
 			filtered += nFilt
-			statMu.Unlock()
+			mu.Unlock()
 			return nil
-		},
-	}.Run(r.eng.Cluster().PartitionNodes(r.n))
+		})
 	if err != nil {
-		return IterStats{}, fmt.Errorf("core: full iteration %d: %w", it, err)
+		return IterStats{}, err
 	}
 
 	if r.spec.ReplicateState {
@@ -698,6 +704,7 @@ func (r *Runner) runFullIteration(it int) (IterStats, error) {
 		r.setGlobal(next)
 	}
 
+	job.Merge(rep)
 	return IterStats{
 		Iteration:  it,
 		Propagated: propagated,
@@ -733,109 +740,33 @@ func (r *Runner) stateGetterFor(p int) iter.StateGetter {
 // chunks. This realizes the paper's "only the states in the last
 // iteration of A_{i-1} need to be saved" — the preserved MRBGraph is
 // the fixed-point edge set.
-func (r *Runner) preservePass() error {
-	edges := make([][]mrbg.DeltaEdge, r.n)
-	// Aggregation is striped per destination partition: map tasks touch
-	// every destination, so a single mutex over all of edges serializes
-	// the merge phase of every task. Independent destinations never
-	// contend here.
-	edgeMu := make([]sync.Mutex, r.n)
-	tasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-preserve/map-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				local := make([][]mrbg.DeltaEdge, r.n)
-				err := r.parts[p].readAll(func(pr kv.Pair) error {
-					dk := r.spec.Project(pr.Key)
-					dv := r.stateOrInit(p, dk)
-					return r.mapToEdges(pr.Key, pr.Value, dk, dv, false, local)
-				})
+func (r *Runner) preservePass(job *metrics.Report) error {
+	rep := &metrics.Report{}
+	err := r.runPass("preserve", rep, r.allParts(),
+		func(p int, emit func(k2, v2 string)) (int64, error) {
+			var recs int64
+			err := r.parts[p].readAll(func(pr kv.Pair) error {
+				recs++
+				return r.mapEdges(p, pr.Key, pr.Value, 0, false, emit)
+			})
+			return recs, err
+		},
+		func(p int, groups shuffle.GroupSource) error {
+			err := groups(func(g kv.Group) error {
+				c, err := mrbg.GroupChunk(g)
 				if err != nil {
 					return err
 				}
-				for d := range local {
-					if len(local[d]) == 0 {
-						continue
-					}
-					edgeMu[d].Lock()
-					edges[d] = append(edges[d], local[d]...)
-					edgeMu[d].Unlock()
-				}
-				return nil
-			},
+				return r.stores[p].Put(c)
+			})
+			if err != nil {
+				return err
+			}
+			if err := r.stores[p].CommitBatch(); err != nil {
+				return err
+			}
+			return r.stores[p].Checkpoint()
 		})
-	}
-	if err := r.runTasks(tasks); err != nil {
-		return fmt.Errorf("core: preserve pass: %w", err)
-	}
-
-	stasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		stasks = append(stasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-preserve/store-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				es := edges[p]
-				slices.SortFunc(es, func(a, b mrbg.DeltaEdge) int {
-					if c := strings.Compare(a.Key, b.Key); c != 0 {
-						return c
-					}
-					return cmp.Compare(a.MK, b.MK)
-				})
-				var cur mrbg.Chunk
-				started := false
-				flush := func() error {
-					if !started {
-						return nil
-					}
-					return r.stores[p].Put(cur)
-				}
-				for i, e := range es {
-					if i == 0 || e.Key != cur.Key {
-						if err := flush(); err != nil {
-							return err
-						}
-						cur = mrbg.Chunk{Key: e.Key}
-						started = true
-					}
-					cur.Edges = append(cur.Edges, mrbg.Edge{MK: e.MK, V2: e.V2})
-				}
-				if err := flush(); err != nil {
-					return err
-				}
-				if err := r.stores[p].CommitBatch(); err != nil {
-					return err
-				}
-				return r.stores[p].Checkpoint()
-			},
-		})
-	}
-	if err := r.runTasks(stasks); err != nil {
-		return fmt.Errorf("core: preserve store pass: %w", err)
-	}
-	return nil
-}
-
-// mapToEdges invokes the prime Map for one structure record and
-// collects the emissions as MRBGraph delta edges, partitioned by K2.
-// MKs are occurrence-aware fingerprints of (SK, SV), so re-mapping the
-// same record replaces its previous edges and a deletion cancels them.
-func (r *Runner) mapToEdges(sk, sv, dk, dv string, del bool, out [][]mrbg.DeltaEdge) error {
-	base := kv.Fingerprint(sk, sv)
-	occ := make(map[string]uint32, 4)
-	return r.spec.Map(sk, sv, dk, dv, func(k2, v2 string) {
-		o := occ[k2]
-		occ[k2] = o + 1
-		mk := kv.Mix64(base + uint64(o)*0x9e3779b97f4a7c15)
-		d := kv.Partition(k2, r.n)
-		de := mrbg.DeltaEdge{Key: k2, MK: mk, Delete: del}
-		if !del {
-			de.V2 = v2
-		}
-		out[d] = append(out[d], de)
-	})
+	job.Merge(rep)
+	return err
 }

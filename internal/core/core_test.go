@@ -539,7 +539,7 @@ func TestFaultToleranceWithInjectedFailures(t *testing.T) {
 		Task: "pr-ft/j2-it001/reduce-0000", Attempt: 1, Delay: 2 * time.Millisecond,
 	})
 	eng.Cluster().InjectFailure(cluster.Failure{
-		Task: "pr-ft/j2-statemap-0000", Attempt: 1, Delay: 2 * time.Millisecond,
+		Task: "pr-ft/j2-it002/map-0000", Attempt: 1, Delay: 2 * time.Millisecond,
 	})
 	res, err := r.RunIncremental("d")
 	if err != nil {

@@ -291,7 +291,7 @@ func TestStalePartialInitialIsDiscarded(t *testing.T) {
 	}
 	for attempt := 1; attempt <= 4; attempt++ {
 		eng.Cluster().InjectFailure(cluster.Failure{
-			Task: "pr-stale/j1-preserve/store-0001", Attempt: attempt, Delay: time.Millisecond,
+			Task: "pr-stale/j1-preserve/reduce-0001", Attempt: attempt, Delay: time.Millisecond,
 		})
 	}
 	if _, err := r.RunInitial("g0"); err == nil {

@@ -273,6 +273,7 @@ func TestIncrementalRefreshUnaffectedByBudget(t *testing.T) {
 	adj := randomGraph(rng, 50, 4)
 
 	var want map[string]string
+	var wantChunks []string
 	for _, budget := range []int64{0, 256} {
 		label := fmt.Sprintf("budget=%d", budget)
 		eng := newEngine(t, 3)
@@ -299,13 +300,22 @@ func TestIncrementalRefreshUnaffectedByBudget(t *testing.T) {
 		if _, err := r.RunInitial("g0"); err != nil {
 			t.Fatalf("%s: initial: %v", label, err)
 		}
-		if _, err := r.RunIncremental("d"); err != nil {
+		res, err := r.RunIncremental("d")
+		if err != nil {
 			t.Fatalf("%s: incremental: %v", label, err)
 		}
+		// The budget bounds the incremental iterations too: their delta
+		// MRBGraph spills like any other intermediate data.
+		if runs := res.Report.Counter(metrics.CounterSpillRuns); (runs > 0) != (budget > 0) {
+			t.Errorf("%s: incremental refresh reports %d spill runs", label, runs)
+		}
 		if want == nil {
-			want = r.State()
+			want, wantChunks = r.State(), storeChunks(t, r)
 		} else {
 			assertStatesIdentical(t, r.State(), want, label)
+			if got := storeChunks(t, r); fmt.Sprint(got) != fmt.Sprint(wantChunks) {
+				t.Errorf("%s: preserved MRBGraph differs from the in-memory run's", label)
+			}
 		}
 	}
 }

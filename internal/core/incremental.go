@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
-	"i2mapreduce/internal/cluster"
 	"i2mapreduce/internal/kv"
 	"i2mapreduce/internal/metrics"
 	"i2mapreduce/internal/mrbg"
+	"i2mapreduce/internal/shuffle"
 )
 
 // RunIncremental executes job A_i: refresh the computation from a
@@ -93,7 +90,20 @@ func (r *Runner) runRefresh(deltaInput string, body func([]kv.Delta, *Result) er
 // runRefreshBracketed is everything between writing and clearing the
 // refresh-intent marker.
 func (r *Runner) runRefreshBracketed(body func([]kv.Delta, *Result) error, deltas []kv.Delta, res *Result) error {
-	if err := body(deltas, res); err != nil {
+	if err := r.applyStructureDelta(deltas); err != nil {
+		return err
+	}
+	var err error
+	if r.mrbgOn {
+		err = body(deltas, res)
+	} else {
+		// Replicated-state or MRBG-off computations re-run full iterations
+		// from the converged state (the paper's Kmeans path: "it is better
+		// to only use iterative processing engine without using
+		// MRBGraph"), whichever refresh was asked for.
+		err = r.runFullLoop(res, 1)
+	}
+	if err != nil {
 		return err
 	}
 	if err := r.checkpoint(res.Report); err != nil {
@@ -106,30 +116,14 @@ func (r *Runner) runRefreshBracketed(body func([]kv.Delta, *Result) error, delta
 }
 
 // runIncrementalBody executes the refresh's iterations inside the
-// intent bracket RunIncremental maintains.
+// intent bracket RunIncremental maintains, the structure delta already
+// applied.
 func (r *Runner) runIncrementalBody(deltas []kv.Delta, res *Result) error {
-	// Replicated-state or MRBG-off computations process the delta by
-	// re-running full iterations from the converged state (the paper's
-	// Kmeans path: "it is better to only use iterative processing
-	// engine without using MRBGraph").
-	if !r.mrbgOn {
-		if err := r.applyStructureDelta(deltas); err != nil {
-			return err
-		}
-		return r.runFullLoop(res, 1)
-	}
-
-	// Iteration 1: incremental Map over the delta structure data
-	// produces the delta MRBGraph (insertions for '+', deletion markers
-	// for '-'), exactly Fig. 3's flow.
-	deltaEdges, err := r.mapStructureDelta(deltas, res.Report)
-	if err != nil {
-		return err
-	}
-	if err := r.applyStructureDelta(deltas); err != nil {
-		return err
-	}
-
+	// Iteration 1's delta input is the delta structure data (insertions
+	// for '+', deletion markers for '-', exactly Fig. 3's flow); from
+	// iteration 2 on it is the delta state data, the keys the previous
+	// iteration propagated.
+	parts, mapPart := r.structureDeltaMap(deltas)
 	for it := 1; it <= r.cfg.MaxIterations; it++ {
 		// With per-iteration checkpointing on, refresh the marker so a
 		// refusal after a crash can say which iteration died; without
@@ -141,11 +135,15 @@ func (r *Runner) runIncrementalBody(deltas []kv.Delta, res *Result) error {
 				return err
 			}
 		}
-		stats, props, err := r.runIncrementalIteration(it, deltaEdges)
+		stats, props, err := r.runIncrementalIteration(it, parts, mapPart, res.Report)
 		if err != nil {
 			return err
 		}
-		stats.MRBGOn = true
+		if it == 1 {
+			// Every record the delta-structure Map emitted is one delta
+			// MRBGraph edge.
+			res.Report.Add(metrics.CounterDeltaEdges, stats.Stages.Counters[metrics.CounterMapRecordsOut])
+		}
 		res.PerIter = append(res.PerIter, stats)
 		res.Iterations = it
 
@@ -168,7 +166,7 @@ func (r *Runner) runIncrementalBody(deltas []kv.Delta, res *Result) error {
 			// Re-sync the preserved MRBGraph with the new fixed point
 			// so the next incremental job can use it again.
 			r.mrbgOn = true
-			if err := r.preservePass(); err != nil {
+			if err := r.preservePass(res.Report); err != nil {
 				return err
 			}
 			r.resetLastEmitted()
@@ -179,14 +177,7 @@ func (r *Runner) runIncrementalBody(deltas []kv.Delta, res *Result) error {
 			res.Converged = true
 			break
 		}
-		// Iterations >= 2: the delta input is the delta state data.
-		deltaEdges, err = r.mapStateDelta(props, res.Report)
-		if err != nil {
-			return err
-		}
-	}
-	if len(res.PerIter) > 0 && res.PerIter[len(res.PerIter)-1].Propagated == 0 {
-		res.Converged = true
+		parts, mapPart = r.stateDeltaMap(props, res.Report)
 	}
 	return nil
 }
@@ -196,79 +187,53 @@ func (r *Runner) runIncrementalBody(deltas []kv.Delta, res *Result) error {
 // their chunks and state) without re-reducing anything, then recompute
 // the fixed point with full passes and re-sync the graph.
 func (r *Runner) runFullRefreshBody(deltas []kv.Delta, res *Result) error {
-	if !r.mrbgOn {
-		// MRBG-off runners recompute exactly as their RunIncremental
-		// does; there is no preserved graph to maintain.
-		if err := r.applyStructureDelta(deltas); err != nil {
-			return err
-		}
-		return r.runFullLoop(res, 1)
-	}
-	deltaEdges, err := r.mapStructureDelta(deltas, res.Report)
-	if err != nil {
-		return err
-	}
-	if err := r.applyStructureDelta(deltas); err != nil {
-		return err
-	}
-	if err := r.mergeDeltaEdges(deltaEdges); err != nil {
+	if err := r.mergeStructureDelta(deltas, res.Report); err != nil {
 		return err
 	}
 	r.mrbgOn = false
-	err = r.runFullLoop(res, 1)
+	err := r.runFullLoop(res, 1)
 	r.mrbgOn = true
 	if err != nil {
 		return err
 	}
-	if err := r.preservePass(); err != nil {
+	if err := r.preservePass(res.Report); err != nil {
 		return err
 	}
 	r.resetLastEmitted()
 	return nil
 }
 
-// mergeDeltaEdges folds a delta MRBGraph into the stores for its
-// structural effects only: deleted edges cancel, and a K2 whose chunk
-// empties is removed along with its state and CPC baseline. No reduce
-// runs — the full passes that follow recompute every value anyway.
-func (r *Runner) mergeDeltaEdges(deltaEdges [][]mrbg.DeltaEdge) error {
-	tasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		if len(deltaEdges[p]) == 0 {
-			continue
-		}
-		slices.SortStableFunc(deltaEdges[p], func(a, b mrbg.DeltaEdge) int { return strings.Compare(a.Key, b.Key) })
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-fullmerge-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				return r.stores[p].Merge(deltaEdges[p], func(res mrbg.MergeResult) error {
-					if res.Removed {
-						r.mu.Lock()
-						r.deleteStateLocked(p, res.Key)
-						r.deleteLastLocked(p, res.Key)
-						r.mu.Unlock()
-					}
-					return nil
-				})
-			},
+// mergeStructureDelta folds the delta structure data's MRBGraph into the
+// stores for its structural effects only: deleted edges cancel, and a K2
+// whose chunk empties is removed along with its state and CPC baseline.
+// No reduce runs — the full passes that follow recompute every value
+// anyway. The removals are idempotent, so they apply as they arrive.
+func (r *Runner) mergeStructureDelta(deltas []kv.Delta, job *metrics.Report) error {
+	rep := &metrics.Report{}
+	parts, mapPart := r.structureDeltaMap(deltas)
+	err := r.runPass("merge", rep, parts, mapPart, func(p int, groups shuffle.GroupSource) error {
+		return r.stores[p].MergeGroups(groups, shuffle.PartitionShare(r.cfg.ShuffleMemoryBudget, r.n), func(res mrbg.MergeResult) error {
+			if res.Removed {
+				r.mu.Lock()
+				r.deleteStateLocked(p, res.Key)
+				r.deleteLastLocked(p, res.Key)
+				r.mu.Unlock()
+			}
+			return nil
 		})
-	}
-	if err := r.runTasks(tasks); err != nil {
-		return fmt.Errorf("core: full-refresh delta merge: %w", err)
-	}
-	return nil
+	})
+	job.Merge(rep)
+	job.Add(metrics.CounterDeltaEdges, rep.Counter(metrics.CounterMapRecordsOut))
+	return err
 }
 
 // runFullLoop iterates full passes until convergence, appending stats.
 func (r *Runner) runFullLoop(res *Result, firstIt int) error {
 	for it := firstIt; it <= firstIt+r.cfg.MaxIterations-1; it++ {
-		stats, err := r.runFullIteration(it)
+		stats, err := r.runFullIteration(it, res.Report)
 		if err != nil {
 			return err
 		}
-		stats.MRBGOn = false
 		res.PerIter = append(res.PerIter, stats)
 		res.Iterations = it
 		if r.cfg.Checkpoint {
@@ -319,235 +284,156 @@ func (r *Runner) applyStructureDelta(deltas []kv.Delta) error {
 	return nil
 }
 
-// mapStructureDelta performs the incremental Map over delta structure
-// records: '+' records yield edge insertions, '-' records regenerate
-// and mark their original edges deleted (Sec. 3.3 applied to iteration
-// 1 of an incremental iterative job).
-func (r *Runner) mapStructureDelta(deltas []kv.Delta, rep *metrics.Report) ([][]mrbg.DeltaEdge, error) {
-	start := time.Now()
-	byPart := make([][]kv.Delta, r.n)
-	for _, d := range deltas {
-		byPart[r.partitionOf(d.Key)] = append(byPart[r.partitionOf(d.Key)], d)
-	}
-	edges := make([][]mrbg.DeltaEdge, r.n)
-	// Striped per destination, like preservePass: map tasks append into
-	// every destination partition, so one mutex over all of edges would
-	// serialize the tasks' merge phases against each other.
-	edgeMu := make([]sync.Mutex, r.n)
-	tasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		if len(byPart[p]) == 0 {
-			continue
+// structureDeltaMap is the map side of a pass over the delta structure
+// data: '+' records yield edge insertions, '-' records regenerate and
+// mark their original edges deleted (Sec. 3.3 applied to iteration 1).
+// One map task per partition the delta touches; a record's position in
+// the delta is its edges' seq, so records touching one (K2, MK) apply in
+// delta-file order at any budget.
+func (r *Runner) structureDeltaMap(deltas []kv.Delta) ([]int, func(p int, emit func(k2, v2 string)) (int64, error)) {
+	byPart := make([][]int, r.n)
+	var parts []int
+	for i, d := range deltas {
+		p := r.partitionOf(d.Key)
+		if byPart[p] == nil {
+			parts = append(parts, p)
 		}
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-it001/deltamap-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				local := make([][]mrbg.DeltaEdge, r.n)
-				for _, d := range byPart[p] {
-					dk := r.spec.Project(d.Key)
-					dv := r.stateOrInit(p, dk)
-					del := d.Op == kv.OpDelete
-					if err := r.mapToEdges(d.Key, d.Value, dk, dv, del, local); err != nil {
-						return err
-					}
-				}
-				for i := range local {
-					if len(local[i]) == 0 {
-						continue
-					}
-					edgeMu[i].Lock()
-					edges[i] = append(edges[i], local[i]...)
-					edgeMu[i].Unlock()
-				}
-				return nil
-			},
-		})
+		byPart[p] = append(byPart[p], i)
 	}
-	if err := r.runTasks(tasks); err != nil {
-		return nil, fmt.Errorf("core: delta structure map: %w", err)
-	}
-	var n int64
-	for _, e := range edges {
-		n += int64(len(e))
-	}
-	rep.Add(metrics.CounterDeltaEdges, n)
-	rep.AddStage(metrics.StageMap, time.Since(start))
-	return edges, nil
-}
-
-// propagated carries one iteration's delta state data: the DKs (with
-// their newly propagated values) that feed the next iteration's Map.
-type propagated struct {
-	byPart []map[string]string
-	count  int
-}
-
-// mapStateDelta performs the selective incremental Map for iterations
-// >= 2: only structure records whose projected state key changed are
-// re-mapped, located through the span index rather than a full scan.
-func (r *Runner) mapStateDelta(props *propagated, rep *metrics.Report) ([][]mrbg.DeltaEdge, error) {
-	start := time.Now()
-	edges := make([][]mrbg.DeltaEdge, r.n)
-	edgeMu := make([]sync.Mutex, r.n)
-	tasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		if len(props.byPart[p]) == 0 {
-			continue
+	slices.Sort(parts)
+	return parts, func(p int, emit func(k2, v2 string)) (int64, error) {
+		for _, i := range byPart[p] {
+			d := deltas[i]
+			if err := r.mapEdges(p, d.Key, d.Value, uint64(i), d.Op == kv.OpDelete, emit); err != nil {
+				return 0, err
+			}
 		}
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-statemap-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				dks := make([]string, 0, len(props.byPart[p]))
-				for dk := range props.byPart[p] {
-					dks = append(dks, dk)
-				}
-				sort.Strings(dks)
-				local := make([][]mrbg.DeltaEdge, r.n)
-				var recs int64
-				bytesRead, err := r.parts[p].readDKsSorted(dks, func(dk string, pr kv.Pair) error {
-					recs++
-					return r.mapToEdges(pr.Key, pr.Value, dk, props.byPart[p][dk], false, local)
-				})
-				if err != nil {
-					return err
-				}
-				for i := range local {
-					if len(local[i]) == 0 {
-						continue
-					}
-					edgeMu[i].Lock()
-					edges[i] = append(edges[i], local[i]...)
-					edgeMu[i].Unlock()
-				}
-				rep.Add(metrics.CounterMapRecordsIn, recs)
-				rep.Add(metrics.CounterStructureBytesRead, bytesRead)
-				return nil
-			},
-		})
+		return int64(len(byPart[p])), nil
 	}
-	if err := r.runTasks(tasks); err != nil {
-		return nil, fmt.Errorf("core: delta state map: %w", err)
-	}
-	rep.AddStage(metrics.StageMap, time.Since(start))
-	return edges, nil
 }
 
-// runIncrementalIteration merges one delta MRBGraph into the stores and
-// re-reduces affected K2s, applying change propagation control to
-// decide which updated state kv-pairs feed the next iteration.
-func (r *Runner) runIncrementalIteration(it int, deltaEdges [][]mrbg.DeltaEdge) (IterStats, *propagated, error) {
+// stateDeltaMap is the map side of iterations >= 2: only structure
+// records whose projected state key propagated a change are re-mapped,
+// located through the span index rather than a full scan, and only
+// partitions holding such keys get a map task. dks[p] is partition p's
+// propagated state keys, sorted; their new values are already in state.
+func (r *Runner) stateDeltaMap(dks [][]string, job *metrics.Report) ([]int, func(p int, emit func(k2, v2 string)) (int64, error)) {
+	var parts []int
+	for p := range dks {
+		if len(dks[p]) > 0 {
+			parts = append(parts, p)
+		}
+	}
+	return parts, func(p int, emit func(k2, v2 string)) (int64, error) {
+		var recs int64
+		bytesRead, err := r.parts[p].readDKsSorted(dks[p], func(_ string, pr kv.Pair) error {
+			recs++
+			return r.mapEdges(p, pr.Key, pr.Value, 0, false, emit)
+		})
+		if err == nil {
+			job.Add(metrics.CounterStructureBytesRead, bytesRead)
+		}
+		return recs, err
+	}
+}
+
+// staged is what one affected K2's incremental reduce decided. A reduce
+// attempt only records decisions; they touch the state, the CPC baseline
+// and the propagation set once the whole reduce wave has committed — the
+// reduce-side twin of the shuffle's per-attempt Emitter. Applied as they
+// arrive, a retried attempt would measure the keys it had already
+// handled against its own new baseline and drop their propagation.
+type staged struct {
+	dv                  string
+	removed, propagated bool
+}
+
+// runIncrementalIteration runs one iteration as an incremental one-step
+// job against the preserved MRBGraph: the delta input's Map emits the
+// delta MRBGraph, each partition merges its share into the store and
+// re-reduces the affected K2s, and change propagation control decides
+// which updated state keys feed the next iteration (returned sorted).
+func (r *Runner) runIncrementalIteration(it int, parts []int, mapPart func(p int, emit func(k2, v2 string)) (int64, error), job *metrics.Report) (IterStats, [][]string, error) {
 	start := time.Now()
 	rep := &metrics.Report{}
-
-	// Shuffle/sort accounting for the delta edges.
-	sortStart := time.Now()
-	var shuffleBytes int64
-	for p := range deltaEdges {
-		slices.SortStableFunc(deltaEdges[p], func(a, b mrbg.DeltaEdge) int { return strings.Compare(a.Key, b.Key) })
-		for _, d := range deltaEdges[p] {
-			shuffleBytes += int64(len(d.Key) + len(d.V2) + 9)
-		}
-	}
-	rep.Add(metrics.CounterShuffleBytes, shuffleBytes)
-	rep.AddStage(metrics.StageSort, time.Since(sortStart))
-
-	props := &propagated{byPart: make([]map[string]string, r.n)}
-	for p := range props.byPart {
-		props.byPart[p] = make(map[string]string)
-	}
 	thr := r.threshold()
-	var totalProp, totalFilt, totalRemoved int
-	var mu sync.Mutex
+	// Keyed by K2, so a retried attempt overwrites its predecessor's
+	// decisions and keeps the removals of already committed batches.
+	stage := make([]map[string]staged, r.n)
+	for p := range stage {
+		stage[p] = make(map[string]staged)
+	}
 
-	tasks := make([]cluster.Task, 0, r.n)
-	for p := 0; p < r.n; p++ {
-		p := p
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/j%d-it%03d/reduce-%04d", cluster.SafeName(r.spec.Name), r.jobSeq, it, p),
-			Preferred: p % r.eng.Cluster().NumNodes(),
-			Run: func(tc cluster.TaskContext) error {
-				t0 := time.Now()
-				getter := r.stateGetterFor(p)
-				nProp, nFilt, nRem := 0, 0, 0
-				var reduced int64
-				err := r.stores[p].Merge(deltaEdges[p], func(res mrbg.MergeResult) error {
-					if res.Removed {
-						r.mu.Lock()
-						r.deleteStateLocked(p, res.Key)
-						r.deleteLastLocked(p, res.Key)
-						r.mu.Unlock()
-						nRem++
-						return nil
-					}
-					var newDV string
-					var emitErr error
-					emitted := false
-					err := r.spec.Reduce(res.Key, res.Values, getter, func(dk, dv string) {
-						switch {
-						case emitted:
-							emitErr = fmt.Errorf("core: reduce for %q emitted more than one state update", res.Key)
-						case dk != res.Key:
-							emitErr = fmt.Errorf("core: reduce for %q emitted state key %q; incremental reduce must update its own key", res.Key, dk)
-						default:
-							newDV, emitted = dv, true
-						}
-					})
-					if err != nil {
-						return err
-					}
-					if emitErr != nil {
-						return emitErr
-					}
-					reduced++
-					if !emitted {
-						return nil // reduce chose not to update (e.g. SSSP no improvement)
-					}
-					r.mu.Lock()
-					r.setStateLocked(p, res.Key, newDV)
-					base, had := r.last[p][res.Key]
-					var diff float64
-					if had {
-						diff = r.spec.Difference(base, newDV)
-					}
-					if !had || diff > thr {
-						r.setLastLocked(p, res.Key, newDV)
-						props.byPart[p][res.Key] = newDV
-						nProp++
-					} else {
-						nFilt++
-					}
-					r.mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				rep.Add(metrics.CounterReduceInstances, reduced)
-				rep.AddStage(metrics.StageReduce, time.Since(t0))
-				mu.Lock()
-				totalProp += nProp
-				totalFilt += nFilt
-				totalRemoved += nRem
-				mu.Unlock()
+	err := r.runPass(fmt.Sprintf("it%03d", it), rep, parts, mapPart, func(p int, groups shuffle.GroupSource) error {
+		getter := r.stateGetterFor(p)
+		var reduced int64
+		err := r.stores[p].MergeGroups(groups, shuffle.PartitionShare(r.cfg.ShuffleMemoryBudget, r.n), func(res mrbg.MergeResult) error {
+			if res.Removed {
+				stage[p][res.Key] = staged{removed: true}
 				return nil
-			},
+			}
+			var newDV string
+			var emitErr error
+			emitted := false
+			err := r.spec.Reduce(res.Key, res.Values, getter, func(dk, dv string) {
+				switch {
+				case emitted:
+					emitErr = fmt.Errorf("core: reduce for %q emitted more than one state update", res.Key)
+				case dk != res.Key:
+					emitErr = fmt.Errorf("core: reduce for %q emitted state key %q; incremental reduce must update its own key", res.Key, dk)
+				default:
+					newDV, emitted = dv, true
+				}
+			})
+			if err != nil {
+				return err
+			}
+			if emitErr != nil {
+				return emitErr
+			}
+			reduced++
+			if !emitted {
+				return nil // reduce chose not to update (e.g. SSSP no improvement)
+			}
+			base, had := r.last[p][res.Key] // nothing writes the baseline during the wave
+			stage[p][res.Key] = staged{dv: newDV, propagated: !had || r.spec.Difference(base, newDV) > thr}
+			return nil
 		})
+		if err == nil {
+			rep.Add(metrics.CounterReduceInstances, reduced)
+		}
+		return err
+	})
+	if err != nil {
+		return IterStats{}, nil, err
 	}
-	if err := r.runTasks(tasks); err != nil {
-		return IterStats{}, nil, fmt.Errorf("core: incremental reduce (iteration %d): %w", it, err)
-	}
-	props.count = totalProp
 
-	return IterStats{
-		Iteration:  it,
-		Propagated: totalProp,
-		Filtered:   totalFilt,
-		Removed:    totalRemoved,
-		Duration:   time.Since(start),
-		Stages:     rep.Snapshot(),
-	}, props, nil
+	stats := IterStats{Iteration: it, MRBGOn: true}
+	props := make([][]string, r.n)
+	r.mu.Lock()
+	for p := range stage {
+		for k, u := range stage[p] {
+			switch {
+			case u.removed:
+				r.deleteStateLocked(p, k)
+				r.deleteLastLocked(p, k)
+				stats.Removed++
+			case u.propagated:
+				r.setStateLocked(p, k, u.dv)
+				r.setLastLocked(p, k, u.dv)
+				props[p] = append(props[p], k)
+				stats.Propagated++
+			default:
+				r.setStateLocked(p, k, u.dv)
+				stats.Filtered++
+			}
+		}
+		slices.Sort(props[p])
+	}
+	r.mu.Unlock()
+
+	job.Merge(rep)
+	stats.Duration = time.Since(start)
+	stats.Stages = rep.Snapshot()
+	return stats, props, nil
 }

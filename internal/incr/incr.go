@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,99 +338,6 @@ func (r *Runner) Results() []*results.Store { return r.res }
 // its gauges.
 func (r *Runner) CompactionScheduler() *results.Scheduler { return r.sched }
 
-// mkFor derives the globally unique Map key for the occ-th value a Map
-// instance emits to one K2. The paper treats (K2, MK) as a unique edge
-// id; a Map call that emits several values to the same K2 (WordCount
-// emitting the same word twice from one line) would collide, so the
-// occurrence index is folded in. The derivation depends only on the
-// input record and the Map function's deterministic emission order, so
-// a delta deletion regenerates exactly the MKs of the original run.
-func mkFor(base uint64, occ uint32) uint64 {
-	return kv.Mix64(base + uint64(occ)*0x9e3779b97f4a7c15)
-}
-
-// occTracker numbers repeated emissions to the same K2 within one Map
-// call.
-type occTracker map[string]uint32
-
-func (o occTracker) next(k2 string) uint32 {
-	n := o[k2]
-	o[k2] = n + 1
-	return n
-}
-
-// encodeMKV packs (MK, V2) into a shuffle value so the engine can
-// transfer MK alongside V2 (paper Sec. 3.3: "the engine transfers the
-// globally unique MK along with <K2,V2> during the shuffle phase").
-// The fixed-width hex MK keeps values of one K2 sorted by MK.
-func encodeMKV(mk uint64, v2 string) string {
-	return fmt.Sprintf("%016x:%s", mk, v2)
-}
-
-// decodeMKV unpacks a shuffle value produced by encodeMKV.
-func decodeMKV(s string) (uint64, string, error) {
-	if len(s) < 17 || s[16] != ':' {
-		return 0, "", fmt.Errorf("incr: malformed MK-tagged value %q", s)
-	}
-	mk, err := strconv.ParseUint(s[:16], 16, 64)
-	if err != nil {
-		return 0, "", fmt.Errorf("incr: malformed MK in %q: %v", s, err)
-	}
-	return mk, s[17:], nil
-}
-
-// encodeDeltaEdge packs a delta MRBGraph edge into a shuffle value:
-// fixed-width hex MK, fixed-width hex delta-file sequence number, one
-// op byte, and (for insertions) the value V2. The encoding is chosen so
-// the shuffle's (key, value) total order yields exactly the apply order
-// mrbg.Merge needs: edges of one K2 sort by MK, and records touching
-// the same (K2, MK) sort by their position in the delta input — so a
-// delete followed by a reinsert nets to the insertion and an insert
-// followed by a delete nets to the deletion, exactly as the delta file
-// says, at any memory budget and any spill interleaving.
-func encodeDeltaEdge(mk, seq uint64, del bool, v2 string) string {
-	b := make([]byte, 0, 33+len(v2))
-	b = appendHex16(b, mk)
-	b = appendHex16(b, seq)
-	if del {
-		return string(append(b, '0'))
-	}
-	return string(append(append(b, '1'), v2...))
-}
-
-// appendHex16 appends v as exactly 16 lower-case hex digits. This is
-// the per-emission hot path of RunDelta's map phase; fmt.Sprintf's
-// format parsing and boxing would dominate it.
-func appendHex16(b []byte, v uint64) []byte {
-	const digits = "0123456789abcdef"
-	var tmp [16]byte
-	for i := 15; i >= 0; i-- {
-		tmp[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return append(b, tmp[:]...)
-}
-
-// decodeDeltaEdge unpacks a shuffle value produced by encodeDeltaEdge.
-// The sequence number has done its work in the sort order and is
-// dropped; mrbg.Merge applies same-(key, MK) records in slice order.
-func decodeDeltaEdge(key, s string) (mrbg.DeltaEdge, error) {
-	if len(s) < 33 || (s[32] != '0' && s[32] != '1') {
-		return mrbg.DeltaEdge{}, fmt.Errorf("incr: malformed delta edge value %q", s)
-	}
-	mk, err := strconv.ParseUint(s[:16], 16, 64)
-	if err != nil {
-		return mrbg.DeltaEdge{}, fmt.Errorf("incr: malformed MK in %q: %v", s, err)
-	}
-	de := mrbg.DeltaEdge{Key: key, MK: mk}
-	if s[32] == '0' {
-		de.Delete = true
-	} else {
-		de.V2 = s[33:]
-	}
-	return de, nil
-}
-
 // RunInitial executes the full computation on input (a DFS pair file),
 // preserves state, and writes outputs under the output path prefix.
 func (r *Runner) RunInitial(input, output string) (*metrics.Report, error) {
@@ -511,13 +417,9 @@ func (r *Runner) commitResults(output string) error {
 // runInitialFineGrain runs a normal MapReduce job with MK-tagged
 // intermediate values, capturing chunks into the MRBG-Stores.
 func (r *Runner) runInitialFineGrain(input, output string) (*metrics.Report, error) {
-	userMap := r.job.Mapper
+	// An initial edge is a seq-0 insertion in the delta-edge wire format.
 	wrappedMapper := mr.MapperFunc(func(k1, v1 string, emit mr.Emit) error {
-		base := kv.Fingerprint(k1, v1)
-		occ := occTracker{}
-		return userMap.Map(k1, v1, func(k2, v2 string) {
-			emit(k2, encodeMKV(mkFor(base, occ.next(k2)), v2))
-		})
+		return r.job.Mapper.Map(k1, v1, mrbg.EdgeEmit(k1, v1, 0, false, emit))
 	})
 
 	job := mr.Job{
@@ -528,24 +430,19 @@ func (r *Runner) runInitialFineGrain(input, output string) (*metrics.Report, err
 		NumReducers: r.job.NumReducers,
 		ReducerFactory: func(p int) mr.Reducer {
 			return mr.ReducerFunc(func(k2 string, tagged []string, emit mr.Emit) error {
-				chunk := mrbg.Chunk{Key: k2}
-				for _, tv := range tagged {
-					mk, v2, err := decodeMKV(tv)
-					if err != nil {
-						return err
-					}
-					chunk.Edges = append(chunk.Edges, mrbg.Edge{MK: mk, V2: v2})
+				chunk, err := mrbg.GroupChunk(kv.Group{Key: k2, Values: tagged})
+				if err != nil {
+					return err
 				}
-				// The shuffle delivers a group's values in kv.SortPairs
-				// order, and the fixed-width hex MK prefix makes that the
-				// store's MK order: the Reduce value list derived from it
-				// is the one re-reduction after a merge will see.
+				// The chunk is in the store's MK order, so the Reduce value
+				// list derived from it is the one re-reduction after a merge
+				// will see.
 				vals := chunk.Values()
 				if err := r.stores[p].Put(chunk); err != nil {
 					return err
 				}
 				var outs []kv.Pair
-				err := r.job.Reducer.Reduce(k2, vals, func(k3, v3 string) {
+				err = r.job.Reducer.Reduce(k2, vals, func(k3, v3 string) {
 					outs = append(outs, kv.Pair{Key: k3, Value: v3})
 					emit(k3, v3)
 				})
@@ -725,12 +622,7 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 	rep := &metrics.Report{}
 	compBefore := r.resultCompactions()
 	mapRecord := func(d kv.Delta, seq uint64, emit func(k2, v2 string)) error {
-		base := kv.Fingerprint(d.Key, d.Value)
-		occ := occTracker{}
-		del := d.Op == kv.OpDelete
-		return r.job.Mapper.Map(d.Key, d.Value, func(k2, v2 string) {
-			emit(k2, encodeDeltaEdge(mkFor(base, occ.next(k2)), seq, del, v2))
-		})
+		return r.job.Mapper.Map(d.Key, d.Value, mrbg.EdgeEmit(d.Key, d.Value, seq, d.Op == kv.OpDelete, emit))
 	}
 	// Incremental Reduce: drain the partition's delta MRBGraph off the
 	// streaming merge, join it against the MRBG-Store, and re-reduce
@@ -755,50 +647,10 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 			res.Set(m.Key, outs)
 			return nil
 		}
-		// Drain the streaming merge into Merge calls in batches bounded
-		// by this partition's share of the shuffle budget, so the reduce
-		// side never buffers more of the delta MRBGraph than the map side
-		// was allowed to. Groups never split across batches (the stream
-		// yields whole keys), so each affected K2 merges and re-reduces
-		// exactly once; later batches see earlier batches' committed
-		// chunks, making the split semantically invisible.
-		var batchBound int64
-		if r.job.ShuffleMemoryBudget > 0 {
-			batchBound = r.job.ShuffleMemoryBudget / int64(r.job.NumReducers)
-			if batchBound < 1 {
-				batchBound = 1
-			}
-		}
-		var delta []mrbg.DeltaEdge
-		var deltaBytes int64
-		flush := func() error {
-			if len(delta) == 0 {
-				return nil
-			}
-			if err := r.stores[p].Merge(delta, onMerge); err != nil {
-				return err
-			}
-			delta, deltaBytes = delta[:0], 0
-			return nil
-		}
-		err := groups(func(g kv.Group) error {
-			for _, v := range g.Values {
-				de, err := decodeDeltaEdge(g.Key, v)
-				if err != nil {
-					return err
-				}
-				delta = append(delta, de)
-				deltaBytes += int64(len(de.Key) + len(de.V2) + 16)
-			}
-			if batchBound > 0 && deltaBytes >= batchBound {
-				return flush()
-			}
-			return nil
-		})
+		// Drain the partition's stream into the MRBG-Store in batches
+		// bounded by its share of the shuffle budget.
+		err := r.stores[p].MergeGroups(groups, shuffle.PartitionShare(r.job.ShuffleMemoryBudget, r.job.NumReducers), onMerge)
 		if err != nil {
-			return err
-		}
-		if err := flush(); err != nil {
 			return err
 		}
 		// The two checkpoints are separate fsync points, so a crash

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,7 +83,9 @@ type Spec struct {
 	AssembleState func(prev map[string]string, outs []kv.Pair) map[string]string
 }
 
-func (s *Spec) validate() error {
+// Validate checks the spec is complete for its dependency type; both
+// iterative engines (this package and internal/core) call it first.
+func (s *Spec) Validate() error {
 	switch {
 	case s.Name == "":
 		return errors.New("iter: Spec.Name required")
@@ -146,16 +149,15 @@ type Runner struct {
 	cfg  Config
 	n    int
 
-	structPaths []string            // per-partition structure file (node-local)
-	state       []map[string]string // per-partition state (co-partitioned)
-	global      map[string]string   // replicated state (ReplicateState)
-	loaded      bool
-	mu          sync.Mutex
+	state  []map[string]string // per-partition state (co-partitioned)
+	global map[string]string   // replicated state (ReplicateState)
+	loaded bool
+	mu     sync.Mutex
 }
 
 // NewRunner validates the spec and prepares a runner.
 func NewRunner(eng *mr.Engine, spec Spec, cfg Config) (*Runner, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.NumPartitions <= 0 {
@@ -202,55 +204,14 @@ func (r *Runner) LoadStructure(input string) (*metrics.Report, error) {
 	}
 	rep := &metrics.Report{}
 	start := time.Now()
-	fi, err := r.eng.FS().Stat(input)
+	run := func(ts []cluster.Task) error { _, err := r.eng.Cluster().Run(ts); return err }
+	parts, err := PartitionStructure(r.eng, r.spec.Name, input, r.n, r.partitionOf, run)
 	if err != nil {
-		return nil, fmt.Errorf("iter: structure input: %w", err)
+		return nil, err
 	}
 
-	parts := make([][]kv.Pair, r.n)
-	var mu sync.Mutex
-	tasks := make([]cluster.Task, 0, len(fi.Blocks))
-	for b := range fi.Blocks {
-		b := b
-		tasks = append(tasks, cluster.Task{
-			Name:      fmt.Sprintf("%s/partition-%04d", cluster.SafeName(r.spec.Name), b),
-			Preferred: -1,
-			Run: func(tc cluster.TaskContext) error {
-				br, err := r.eng.FS().OpenBlock(input, b)
-				if err != nil {
-					return err
-				}
-				defer br.Close()
-				local := make([][]kv.Pair, r.n)
-				for {
-					p, err := br.ReadPair()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						return err
-					}
-					local[r.partitionOf(p.Key)] = append(local[r.partitionOf(p.Key)], p)
-				}
-				mu.Lock()
-				for i := range local {
-					parts[i] = append(parts[i], local[i]...)
-				}
-				mu.Unlock()
-				return nil
-			},
-		})
-	}
-	if _, err := r.eng.Cluster().Run(tasks); err != nil {
-		return nil, fmt.Errorf("iter: partitioning: %w", err)
-	}
-
-	r.structPaths = make([]string, r.n)
 	if r.spec.ReplicateState {
-		r.global = make(map[string]string, len(r.cfg.InitialState))
-		for k, v := range r.cfg.InitialState {
-			r.global[k] = v
-		}
+		r.global = maps.Clone(r.cfg.InitialState)
 	} else {
 		r.state = make([]map[string]string, r.n)
 	}
@@ -277,16 +238,66 @@ func (r *Runner) LoadStructure(input string) (*metrics.Report, error) {
 			}
 			r.state[p] = st
 		}
-		path := r.structPath(p)
-		if err := WriteStructFile(path, ps); err != nil {
+		if err := WriteStructFile(r.structPath(p), ps); err != nil {
 			return nil, err
 		}
-		r.structPaths[p] = path
 		rep.Add(metrics.CounterStructureRecords, int64(len(ps)))
 	}
 	r.loaded = true
 	rep.AddStage(metrics.StageMap, time.Since(start))
 	return rep, nil
+}
+
+// PartitionStructure is the structure-partitioning wave both iterative
+// engines load through (paper Sec. 4.3 preprocessing): one task per
+// input block, run through run, routes the block's pairs to
+// partitionOf(SK). Each partition comes back in input order, whatever
+// order the tasks finished in.
+func PartitionStructure(eng *mr.Engine, name, input string, n int, partitionOf func(sk string) int, run func([]cluster.Task) error) ([][]kv.Pair, error) {
+	fi, err := eng.FS().Stat(input)
+	if err != nil {
+		return nil, fmt.Errorf("iter: structure input: %w", err)
+	}
+	// Block b's task alone writes perBlock[b]: the wave shares nothing.
+	perBlock := make([][][]kv.Pair, len(fi.Blocks))
+	tasks := make([]cluster.Task, 0, len(fi.Blocks))
+	for b := range fi.Blocks {
+		//i2vet:allow rawgo the one task wave that is not a Map -> shuffle -> Reduce pass: it routes by hash, nothing is grouped or reduced
+		tasks = append(tasks, cluster.Task{
+			Name:      fmt.Sprintf("%s/partition-%04d", cluster.SafeName(name), b),
+			Preferred: -1,
+			Run: func(tc cluster.TaskContext) error {
+				br, err := eng.FS().OpenBlock(input, b)
+				if err != nil {
+					return err
+				}
+				defer br.Close()
+				local := make([][]kv.Pair, n)
+				for {
+					p, err := br.ReadPair()
+					if err == io.EOF {
+						perBlock[b] = local
+						return nil
+					}
+					if err != nil {
+						return err
+					}
+					i := partitionOf(p.Key)
+					local[i] = append(local[i], p)
+				}
+			},
+		})
+	}
+	if err := run(tasks); err != nil {
+		return nil, fmt.Errorf("iter: partitioning: %w", err)
+	}
+	parts := make([][]kv.Pair, n)
+	for i := range parts {
+		for _, local := range perBlock {
+			parts[i] = append(parts[i], local[i]...)
+		}
+	}
+	return parts, nil
 }
 
 // WriteStructFile writes a sorted structure partition to a node-local
@@ -328,9 +339,9 @@ func ReadStructFile(path string, fn func(p kv.Pair) error) error {
 	}
 }
 
-// stateSnapshot returns a copy of the full state (merged across
-// partitions for co-partitioned specs).
-func (r *Runner) stateSnapshot() map[string]string {
+// State returns a copy of the current state store contents (merged
+// across partitions for co-partitioned specs).
+func (r *Runner) State() map[string]string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]string)
@@ -348,9 +359,6 @@ func (r *Runner) stateSnapshot() map[string]string {
 	return out
 }
 
-// State returns the current state store contents.
-func (r *Runner) State() map[string]string { return r.stateSnapshot() }
-
 // Run iterates until convergence (no state change above Epsilon) or
 // MaxIterations, whichever first.
 func (r *Runner) Run() (*Result, error) {
@@ -359,7 +367,7 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	res := &Result{Report: &metrics.Report{}}
 	for it := 1; it <= r.cfg.MaxIterations; it++ {
-		stats, err := r.runIteration(it)
+		stats, err := r.runIteration(it, res.Report)
 		if err != nil {
 			return nil, err
 		}
@@ -371,11 +379,6 @@ func (r *Runner) Run() (*Result, error) {
 			break
 		}
 	}
-	for _, s := range res.PerIter {
-		for _, st := range metrics.Stages() {
-			res.Report.AddStage(st, s.Stages.Stages[st])
-		}
-	}
 	return res, nil
 }
 
@@ -384,8 +387,10 @@ func (r *Runner) Run() (*Result, error) {
 // runtime owns the task scaffolding, lock-striped partition buffers,
 // budgeted spilling, and the streaming merge; this method supplies the
 // structure reader, the prime Map/Reduce bindings, and the state-update
-// policy (buffer updates, then apply with convergence accounting).
-func (r *Runner) runIteration(it int) (IterationStats, error) {
+// policy (buffer updates, then apply with convergence accounting). The
+// pass's stages and counters land in the returned stats and merge into
+// job.
+func (r *Runner) runIteration(it int, job *metrics.Report) (IterationStats, error) {
 	iterStart := time.Now()
 	rep := &metrics.Report{}
 
@@ -420,7 +425,7 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 				}
 			}
 			var recs int64
-			err := ReadStructFile(r.structPaths[p], func(pr kv.Pair) error {
+			err := ReadStructFile(r.structPath(p), func(pr kv.Pair) error {
 				recs++
 				dk, dv := repDK, repDV
 				if !r.spec.ReplicateState {
@@ -480,18 +485,19 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 	applyStart := time.Now()
 	changed := 0
 	maxDiff := 0.0
+	observe := func(prev, cur string) {
+		d := r.spec.Difference(prev, cur)
+		maxDiff = max(maxDiff, d)
+		if d > r.cfg.Epsilon {
+			changed++
+		}
+	}
 	if r.spec.ReplicateState {
 		kv.SortPairs(allOuts)
 		prev := r.globalView()
 		next := r.spec.AssembleState(prev, allOuts)
 		for k, nv := range next {
-			d := r.spec.Difference(prev[k], nv)
-			if d > maxDiff {
-				maxDiff = d
-			}
-			if d > r.cfg.Epsilon {
-				changed++
-			}
+			observe(prev[k], nv)
 		}
 		r.mu.Lock()
 		r.global = next
@@ -499,20 +505,14 @@ func (r *Runner) runIteration(it int) (IterationStats, error) {
 	} else {
 		for p := 0; p < r.n; p++ {
 			for _, u := range updates[p] {
-				prev := r.state[p][u.dk]
-				d := r.spec.Difference(prev, u.dv)
-				if d > maxDiff {
-					maxDiff = d
-				}
-				if d > r.cfg.Epsilon {
-					changed++
-				}
+				observe(r.state[p][u.dk], u.dv)
 				r.state[p][u.dk] = u.dv
 			}
 		}
 	}
 	rep.AddStage(metrics.StageReduce, time.Since(applyStart))
 
+	job.Merge(rep)
 	return IterationStats{
 		Changed:  changed,
 		MaxDiff:  maxDiff,

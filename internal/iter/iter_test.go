@@ -576,7 +576,7 @@ func TestStructurePartitioningCoLocation(t *testing.T) {
 		t.Fatalf("structure.records = %d, want %d", rep.Counter("structure.records"), len(adj))
 	}
 	for p := 0; p < 3; p++ {
-		err := ReadStructFile(r.structPaths[p], func(pr kv.Pair) error {
+		err := ReadStructFile(r.structPath(p), func(pr kv.Pair) error {
 			if kv.Partition(pr.Key, 3) != p { // Project is identity here
 				return fmt.Errorf("record %q in partition %d, owner %d", pr.Key, p, kv.Partition(pr.Key, 3))
 			}

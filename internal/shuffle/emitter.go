@@ -73,7 +73,7 @@ func (e *Emitter) Emit(key, value string) {
 	}
 	// As in Buffer.Emit, partitioning and byte accounting use the base
 	// key; only the stored pair carries a sub-key when the key is hot.
-	d := e.b.cfg.Partition(key, e.b.cfg.Partitions)
+	d := kv.Partition(key, e.b.cfg.Partitions)
 	storeKey := key
 	if e.b.skew != nil {
 		storeKey = e.b.skew.route(key)
@@ -131,7 +131,7 @@ func (e *Emitter) spillLargest() {
 // promoting keys that crossed the skew ratio.
 func (e *Emitter) flushSkew() {
 	for key, n := range e.skewCnt {
-		d := e.b.cfg.Partition(key, e.b.cfg.Partitions)
+		d := kv.Partition(key, e.b.cfg.Partitions)
 		p := &e.b.parts[d]
 		p.mu.Lock()
 		e.b.observeLocked(p, key, n)

@@ -55,9 +55,6 @@ type Config struct {
 	// runs. Required when MemoryBudget > 0; the directory is created on
 	// first spill and the run files are removed by Close.
 	ScratchDir func(p int) string
-	// Partition routes an intermediate key to a destination partition.
-	// Defaults to kv.Partition.
-	Partition func(key string, n int) int
 	// Report, when set, receives the spill counters
 	// (metrics.CounterSpillRuns / CounterSpillBytes) and sort-stage
 	// timings as they accrue.
@@ -129,9 +126,6 @@ func New(cfg Config) (*Buffer, error) {
 	if cfg.MemoryBudget > 0 && cfg.ScratchDir == nil {
 		return nil, errors.New("shuffle: MemoryBudget requires ScratchDir")
 	}
-	if cfg.Partition == nil {
-		cfg.Partition = kv.Partition
-	}
 	if cfg.SkewRatio < 0 || cfg.SkewRatio >= 1 {
 		if cfg.SkewRatio != 0 {
 			return nil, fmt.Errorf("shuffle: Config.SkewRatio = %g, want 0 or (0, 1)", cfg.SkewRatio)
@@ -141,17 +135,22 @@ func New(cfg Config) (*Buffer, error) {
 	if cfg.SkewRatio > 0 {
 		b.skew = newSkewState(cfg)
 	}
-	if cfg.MemoryBudget > 0 {
-		// One share per stripe; an Emitter uses the same share as its
-		// *total* staging bound, so up to Partitions concurrent map
-		// tasks stage at most one budget in aggregate alongside the
-		// stripes' one budget.
-		b.perPart = cfg.MemoryBudget / int64(cfg.Partitions)
-		if b.perPart < 1 {
-			b.perPart = 1
-		}
-	}
+	// One share per stripe; an Emitter uses the same share as its *total*
+	// staging bound, so up to Partitions concurrent map tasks stage at
+	// most one budget in aggregate alongside the stripes' one budget.
+	b.perPart = PartitionShare(cfg.MemoryBudget, cfg.Partitions)
 	return b, nil
+}
+
+// PartitionShare is one partition's share of a shuffle memory budget:
+// what a stripe buffers before it spills, and what a reduce task that
+// batches its partition's stream (mrbg.MergeGroups) buffers per batch.
+// 0 means unbounded (budget <= 0); a positive budget yields at least 1.
+func PartitionShare(budget int64, partitions int) int64 {
+	if budget <= 0 {
+		return 0
+	}
+	return max(budget/int64(partitions), 1)
 }
 
 // Emit routes one intermediate pair to its destination partition,
@@ -169,7 +168,7 @@ func (b *Buffer) Emit(key, value string) {
 	// Routing and byte accounting use the base key even when the record
 	// is rerouted to a sub-key: results must land in the base key's
 	// partition, and counters stay comparable to an unsplit shuffle.
-	d := b.cfg.Partition(key, b.cfg.Partitions)
+	d := kv.Partition(key, b.cfg.Partitions)
 	storeKey := key
 	if b.skew != nil {
 		storeKey = b.skew.route(key)

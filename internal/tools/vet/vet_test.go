@@ -117,7 +117,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{name: "errclose"},
 		// The rawgo fixture is fed to the analyzer under an engine
 		// package path, since rawgo only fires in those packages.
-		{name: "rawgo", pkgPath: "internal/core", wantSuppressed: 1},
+		{name: "rawgo", pkgPath: "internal/core", wantSuppressed: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,6 +141,16 @@ func TestRawgoExemptPackage(t *testing.T) {
 	diags, _ := runOnFixture(t, filepath.Join("testdata", "rawgo"), "internal/cluster", only("rawgo"))
 	if len(diags) != 0 {
 		t.Errorf("rawgo fired outside the engine package set: %v", diags)
+	}
+}
+
+// TestRawgoTaskWaveHome feeds the fixture to the analyzer as
+// internal/shuffle, the one engine package that builds task waves: its
+// go statements are still findings, its cluster.Task literals are not.
+func TestRawgoTaskWaveHome(t *testing.T) {
+	diags, _ := runOnFixture(t, filepath.Join("testdata", "rawgo"), "internal/shuffle", only("rawgo"))
+	if len(diags) != 1 || !strings.Contains(diags[0].msg, "bare go statement") {
+		t.Errorf("rawgo under internal/shuffle = %v, want only the bare go statement", diags)
 	}
 }
 
