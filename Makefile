@@ -53,9 +53,9 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Fuzz the decode boundaries that accept bytes from disk: the block
-# segment format, the MRBG-Store chunk frame, the MRBGraph-edge shuffle
-# value (it crosses spill runs), the ingest staging log, and the kv
-# text codec. Each
+# segment format, the MRBG-Store chunk frame and index log, the
+# MRBGraph-edge shuffle value (it crosses spill runs), the ingest
+# staging log, and the kv text codec. Each
 # target gets FUZZTIME of coverage-guided input generation (the go tool
 # runs one -fuzz pattern per invocation). Seeds are valid encodes plus
 # byte-flipped variants, mirroring the deterministic corruption-sweep
@@ -65,6 +65,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFile$$' -fuzztime $(FUZZTIME) ./internal/blockio
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/mrbg
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexLog$$' -fuzztime $(FUZZTIME) ./internal/mrbg
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEdgeValue$$' -fuzztime $(FUZZTIME) ./internal/mrbg
 	$(GO) test -run '^$$' -fuzz '^FuzzWALLine$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzEscapeField$$' -fuzztime $(FUZZTIME) ./internal/kv

@@ -227,12 +227,14 @@ type Options struct {
 	// many goroutines. Jobs/configs that set their own value win.
 	// 0 (the default) means GOMAXPROCS; 1 recovers the serial behavior.
 	IOParallelism int
-	// BackgroundCompaction moves the durable stores' threshold
-	// compaction off the checkpoint critical path onto a background
+	// BackgroundCompaction moves the durable stores' compaction — the
+	// result/state stores' segment folding and the MRBG-Stores' file
+	// reconstruction — off the refresh critical path onto a background
 	// scheduler in every runner this System creates: a refresh
 	// checkpoint then pays only the memtable flush and the manifest
 	// commit, and compaction runs between refreshes. Off by default
-	// (compaction stays inline in Checkpoint).
+	// (segments fold inline in Checkpoint, MRBG files once the refresh
+	// has committed).
 	BackgroundCompaction bool
 }
 

@@ -92,6 +92,21 @@ func TestTable4StrategiesOrdered(t *testing.T) {
 	if dynamic.Reads >= indexOnly.Reads {
 		t.Errorf("multi-dynamic issued %d reads >= index-only %d", dynamic.Reads, indexOnly.Reads)
 	}
+	// The counts themselves, as measured before chunk checksums, the
+	// index log and post-refresh compaction existed: none of the three
+	// may touch what the merge reads, or how much.
+	want := []Table4Row{
+		{Technique: "index-only", Reads: 981, ReadBytes: 221957},
+		{Technique: "single-fix-window", Reads: 72, ReadBytes: 965564},
+		{Technique: "multi-fix-window", Reads: 32, ReadBytes: 247302},
+		{Technique: "multi-dynamic-window", Reads: 42, ReadBytes: 248104},
+	}
+	for i, r := range rows {
+		if r.Technique != want[i].Technique || r.Reads != want[i].Reads || r.ReadBytes != want[i].ReadBytes {
+			t.Errorf("row %d = %s %d reads %d bytes, want %s %d reads %d bytes",
+				i, r.Technique, r.Reads, r.ReadBytes, want[i].Technique, want[i].Reads, want[i].ReadBytes)
+		}
+	}
 	_ = FormatTable4(rows)
 }
 

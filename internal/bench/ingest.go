@@ -130,8 +130,7 @@ func IngestSweep(env *Env, sc Scale) ([]IngestRow, error) {
 			stream := nextStream(sc.Seed+int64(300+cell*10), rate*int(ingestFeedTime)/int(time.Second))
 			row, err := ingestCell(env, runner, srv,
 				filepath.Join(stagingRoot, fmt.Sprintf("cell-%d", cell)),
-				fmt.Sprintf("ingest/in-%d", cell), fmt.Sprintf("ingest/out-%d", cell),
-				pc, rate, stream)
+				fmt.Sprintf("ingest/in-%d", cell), pc, rate, stream)
 			if err != nil {
 				return nil, err
 			}
@@ -142,9 +141,9 @@ func IngestSweep(env *Env, sc Scale) ([]IngestRow, error) {
 }
 
 // ingestCell runs one (policy, rate) cell: a fresh Ingester over its
-// own staging dir and DFS prefixes, records offered at the target rate,
+// own staging dir and DFS delta prefix, records offered at the target rate,
 // per-record lag measured from durable accept to batch commit.
-func ingestCell(env *Env, runner *incr.Runner, srv *serve.Server, dir, inPrefix, outPrefix string,
+func ingestCell(env *Env, runner *incr.Runner, srv *serve.Server, dir, inPrefix string,
 	pc ingestPolicy, rate int, stream []kv.Delta) (*IngestRow, error) {
 	// enqBySeq[seq-1] is record seq's accept stamp. The cell is the
 	// only producer and sequence numbers start at 1 in a fresh staging
@@ -161,7 +160,6 @@ func ingestCell(env *Env, runner *incr.Runner, srv *serve.Server, dir, inPrefix,
 		WriteDeltas:     env.Eng.FS().WriteAllDeltas,
 		AppliedJobs:     runner.CompletedJobs,
 		DeltaPathPrefix: inPrefix,
-		OutputPrefix:    outPrefix,
 		Policy:          pc.pol,
 		OnBatchApplied: func(b ingest.Batch) {
 			mu.Lock()

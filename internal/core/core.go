@@ -120,12 +120,13 @@ type Config struct {
 	// out across partitions on at most this many goroutines. <= 0 means
 	// GOMAXPROCS; 1 recovers the serial pre-parallel behavior exactly.
 	IOParallelism int
-	// BackgroundCompaction moves state-store threshold compaction off
-	// the checkpoint critical path onto a background scheduler
-	// (results.Scheduler): a checkpoint then pays only the memtable
-	// flush and the manifest commit, and compaction runs between
-	// refreshes (the scheduler is paused while a job is in flight).
-	// Off by default: compaction stays inline in Checkpoint.
+	// BackgroundCompaction moves state-store threshold compaction and
+	// MRBG-Store compaction off the refresh critical path onto a
+	// background scheduler (results.Scheduler): a checkpoint then pays
+	// only the memtable flush and the manifest commit, and compaction
+	// runs between refreshes (the scheduler is paused while a job is in
+	// flight). Off by default: state stores compact inline in
+	// Checkpoint, MRBG-Stores once a refresh has committed.
 	BackgroundCompaction bool
 }
 
@@ -198,6 +199,10 @@ type Runner struct {
 	jobsDone atomic.Int64
 	// refreshStats backs the engine.Refresher Stats() view.
 	refreshStats engine.StatsTracker
+
+	// noCompact, set by tests, keeps refreshes from compacting the
+	// MRBG-Stores: the reference a compacting run must match.
+	noCompact bool
 
 	jobStart    time.Time
 	compactBase int64 // cumulative state-store compactions at job start

@@ -9,6 +9,7 @@ import (
 	"i2mapreduce/internal/kv"
 	"i2mapreduce/internal/metrics"
 	"i2mapreduce/internal/mrbg"
+	"i2mapreduce/internal/par"
 	"i2mapreduce/internal/shuffle"
 )
 
@@ -51,6 +52,7 @@ func (r *Runner) runRefresh(deltaInput string, body func([]kv.Delta, *Result) er
 	r.events = nil
 	r.jobSeq++
 	_, r.compactBase = r.stateStoreStats()
+	storesBefore := mrbg.Totals(r.stores)
 
 	// Refresh barrier: background compaction must not compete with the
 	// refresh's own I/O. Pause waits out any in-flight merge; triggers
@@ -83,8 +85,27 @@ func (r *Runner) runRefresh(deltaInput string, body func([]kv.Delta, *Result) er
 		r.refreshFailed = true
 		return nil, err
 	}
+	// The refresh has committed; what follows is upkeep of consistent
+	// state, outside the bracket and outside every iteration loop.
+	if err := r.compactStores(res.Report); err != nil {
+		return nil, err
+	}
+	mrbg.Totals(r.stores).ReportSince(res.Report, storesBefore)
 	r.finishResult(res)
 	return res, nil
+}
+
+// compactStores runs the MRBG-Stores' due compactions (mrbg package
+// comment): inline, or handed to the scheduler under
+// Config.BackgroundCompaction. A store's compaction is its own atomic
+// commit, so a crash here costs nothing but the reclaimed space.
+func (r *Runner) compactStores(rep *metrics.Report) error {
+	if r.noCompact {
+		return nil
+	}
+	return rep.TimeStage(metrics.StageCheckpoint, func() error {
+		return par.Do(len(r.stores), r.ioPar, func(p int) error { return r.sched.Offer(r.stores[p]) })
+	})
 }
 
 // runRefreshBracketed is everything between writing and clearing the

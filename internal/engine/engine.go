@@ -38,9 +38,14 @@ const (
 )
 
 // Refresher is the unified refresh interface. Refresh applies one delta
-// input (a path understood by the engine; the output argument names
-// where refreshed results go, and engines that publish to fixed
-// locations may ignore it) and returns the observed cost evidence.
+// input (a path understood by the engine) and returns the observed cost
+// evidence. The output argument names where the refreshed results are
+// published on the DFS; engines that publish to fixed locations may
+// ignore it. An empty output asks for no publication at all: the
+// refreshed results are durable in the engine's own stores, where the
+// serving layer reads them, and the one-step engine materializes them
+// in full the next time a caller names an output. The streaming
+// ingester always passes an empty output.
 // Implementations are not safe for concurrent Refresh calls — refreshes
 // are serialized by the caller (see serve.Server.Refresh).
 type Refresher interface {
@@ -66,7 +71,8 @@ type RefreshResult struct {
 	Iterations int
 	Converged  bool
 	// Output is where the refreshed results were published (empty when
-	// the engine publishes to its configured location).
+	// the caller asked for no publication, or the engine publishes to
+	// its configured location).
 	Output string
 }
 

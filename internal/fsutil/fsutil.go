@@ -1,9 +1,10 @@
-// Package fsutil holds the durable-file-commit helper shared by the
-// stores' manifest and metadata writers (MRBG-Store meta, result-store
-// manifests, the one-step engine's job meta and refresh markers).
+// Package fsutil holds the durable-file-commit helpers shared by the
+// stores' manifest and metadata writers (MRBG-Store meta and index log,
+// result-store manifests, the engines' job meta and refresh markers).
 package fsutil
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -61,4 +62,31 @@ func SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// AppendSync durably appends data to the existing file at path: one
+// write at offset off — the caller's record of the file's committed
+// length — then fsync. It is the commit of an append-only log whose
+// records frame and checksum themselves: a crash or a short write
+// leaves at most a torn record beyond off, which the reader drops and
+// the next append (at the same off) overwrites, so the committed prefix
+// stays readable. The file must already exist durably (create it with
+// WriteFileAtomic); AppendSync never creates one, because a new
+// directory entry would need the directory fsynced too.
+func AppendSync(path string, off int64, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	n, err := f.WriteAt(data, off)
+	if err == nil && n != len(data) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -93,11 +93,12 @@ type Job struct {
 	// out across partitions on at most this many goroutines. <= 0 means
 	// GOMAXPROCS; 1 recovers the serial pre-parallel behavior exactly.
 	IOParallelism int
-	// BackgroundCompaction moves result-store threshold compaction off
-	// the refresh critical path onto a background scheduler
-	// (results.Scheduler): a refresh checkpoint then pays only the
-	// memtable flush and the manifest commit, and compaction runs
-	// between refreshes. Off by default: compaction stays inline.
+	// BackgroundCompaction moves result-store threshold compaction and
+	// MRBG-Store compaction off the refresh critical path onto a
+	// background scheduler (results.Scheduler): a refresh checkpoint then
+	// pays only the memtable flush and the manifest commit, and
+	// compaction runs between refreshes. Off by default: compaction
+	// stays inline.
 	BackgroundCompaction bool
 }
 
@@ -125,6 +126,9 @@ type Runner struct {
 	jobs atomic.Int64
 	// refreshStats backs the engine.Refresher Stats() view.
 	refreshStats engine.StatsTracker
+	// noCompact, set by tests, keeps refreshes from compacting the
+	// MRBG-Stores: the reference a compacting run must match.
+	noCompact bool
 }
 
 // NewRunner prepares a runner for a fresh computation; per-partition
@@ -520,6 +524,15 @@ func (r *Runner) runInitialAccumulator(input, output string) (*metrics.Report, e
 // under the output path prefix. Only partitions whose results actually
 // changed are re-serialized; unchanged partitions are republished with
 // a block-level clone of their previous part file.
+//
+// An empty output publishes nothing to the DFS: the refreshed results
+// are in the result stores (Results, Outputs, the serving layer) and
+// the stores stay dirty, so the next refresh that names an output
+// materializes every partition the unpublished refreshes changed.
+//
+// Once the refresh has committed, MRBG-Store shards whose file has
+// grown to the compaction trigger are reconstructed (mrbg package
+// comment) — inline, or by the scheduler under BackgroundCompaction.
 func (r *Runner) RunDelta(deltaInput, output string) (*metrics.Report, error) {
 	if !r.initial {
 		return nil, errors.New("incr: RunDelta before RunInitial")
@@ -620,7 +633,7 @@ func splitCheckpoint(rep *metrics.Report, d time.Duration) {
 // MRBG-Stores and patches only affected result groups.
 func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, error) {
 	rep := &metrics.Report{}
-	compBefore := r.resultCompactions()
+	compBefore, storesBefore := r.resultCompactions(), mrbg.Totals(r.stores)
 	mapRecord := func(d kv.Delta, seq uint64, emit func(k2, v2 string)) error {
 		return r.job.Mapper.Map(d.Key, d.Value, mrbg.EdgeEmit(d.Key, d.Value, seq, d.Op == kv.OpDelete, emit))
 	}
@@ -686,8 +699,10 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 		return nil, err
 	}
 
-	if err := r.writeOutputs(output, rep); err != nil {
-		return nil, err
+	if output != "" {
+		if err := r.writeOutputs(output, rep); err != nil {
+			return nil, err
+		}
 	}
 	// Advance the durable completed-job count. A crash before this stamp
 	// leaves the stores committed but the count behind by one; replaying
@@ -697,8 +712,25 @@ func (r *Runner) runDeltaFineGrain(deltaInput, output string) (*metrics.Report, 
 		return nil, err
 	}
 	r.jobs.Add(1)
+	if err := r.compactStores(rep); err != nil {
+		return nil, err
+	}
 	r.reportResultStats(rep, compBefore)
+	mrbg.Totals(r.stores).ReportSince(rep, storesBefore)
 	return rep, nil
+}
+
+// compactStores runs the MRBG-Stores' due compactions, now that the
+// refresh has committed and no merge is in flight. A store's compaction
+// is its own atomic commit, so a crash here costs nothing but the
+// reclaimed space.
+func (r *Runner) compactStores(rep *metrics.Report) error {
+	if r.noCompact {
+		return nil
+	}
+	return rep.TimeStage(metrics.StageCheckpoint, func() error {
+		return par.Do(len(r.stores), r.ioPar, func(p int) error { return r.sched.Offer(r.stores[p]) })
+	})
 }
 
 // runDeltaAccumulator refreshes an accumulator-Reduce job: stream the
@@ -792,8 +824,10 @@ func (r *Runner) runDeltaAccumulator(deltaInput, output string) (*metrics.Report
 	if err := fsutil.SyncDir(filepath.Dir(intent)); err != nil {
 		return nil, err
 	}
-	if err := r.writeOutputs(output, rep); err != nil {
-		return nil, err
+	if output != "" {
+		if err := r.writeOutputs(output, rep); err != nil {
+			return nil, err
+		}
 	}
 	r.reportResultStats(rep, compBefore)
 	return rep, nil

@@ -8,6 +8,7 @@ package ingest_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +143,13 @@ func TestCrashBetweenStageAndRefreshMatchesBatch(t *testing.T) {
 	}
 	if err := in2.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The micro-batches went through the DFS as delta files only: a
+	// served refresh publishes no output directory.
+	for _, name := range sysA.Engine().FS().List() {
+		if strings.Contains(name, "out") {
+			t.Errorf("streaming refreshes published %q to the DFS", name)
+		}
 	}
 
 	// Batch twin: same corpus, same deltas, one RunDelta.

@@ -112,8 +112,9 @@ type Config struct {
 	// intent). Created if missing.
 	Dir string
 	// Refresh applies one micro-batch: deltaInput is the DFS delta file
-	// the batch was written to, output the per-batch output path, and
-	// records the batch size. Bind it with BindServe / BindServePlanned
+	// the batch was written to and records the batch size. output is
+	// always empty — a served refresh is read from the engine's stores,
+	// so the ingester asks for no DFS output (engine.Refresher). Bind it with BindServe / BindServePlanned
 	// to run under the serving layer's epoch discipline. An error
 	// latches the ingester (the engines latch themselves too).
 	Refresh func(deltaInput, output string, records int64) error
@@ -128,11 +129,9 @@ type Config struct {
 	// intent is then always replayed, which is exactly-once only for
 	// idempotent (fine-grain) refreshes.
 	AppliedJobs func() int64
-	// DeltaPathPrefix / OutputPrefix name the per-batch DFS delta files
-	// ("<prefix>/batch-<id>") and refresh outputs ("<prefix>-<id>").
-	// Defaults "ingest" and "ingest-out".
+	// DeltaPathPrefix names the per-batch DFS delta files
+	// ("<prefix>/batch-<id>"). Default "ingest".
 	DeltaPathPrefix string
-	OutputPrefix    string
 	// Policy is the micro-batching policy.
 	Policy Policy
 	// Backpressure selects block-or-reject at the staging bound.
@@ -171,9 +170,8 @@ type Batch struct {
 	Applied time.Time
 	// Wall is the refresh's wall-clock duration.
 	Wall time.Duration
-	// DeltaPath / Output are the DFS paths the batch flowed through.
+	// DeltaPath is the DFS delta file the batch was written to.
 	DeltaPath string
-	Output    string
 }
 
 // Stats is a point-in-time view of the ingester.
@@ -270,9 +268,6 @@ func Open(cfg Config) (*Ingester, error) {
 	}
 	if cfg.DeltaPathPrefix == "" {
 		cfg.DeltaPathPrefix = "ingest"
-	}
-	if cfg.OutputPrefix == "" {
-		cfg.OutputPrefix = "ingest-out"
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -584,7 +579,6 @@ func (in *Ingester) applyBatch(b cutBatch) (Batch, error) {
 	}
 	first, last := b.recs[0].seq, b.recs[len(b.recs)-1].seq
 	path := fmt.Sprintf("%s/batch-%08d", in.cfg.DeltaPathPrefix, b.id)
-	out := fmt.Sprintf("%s-%08d", in.cfg.OutputPrefix, b.id)
 	if err := in.cfg.WriteDeltas(path, deltas); err != nil {
 		return Batch{}, fmt.Errorf("ingest: writing batch delta file: %w", err)
 	}
@@ -596,7 +590,7 @@ func (in *Ingester) applyBatch(b cutBatch) (Batch, error) {
 		return Batch{}, err
 	}
 	t := time.Now()
-	if err := in.cfg.Refresh(path, out, int64(len(deltas))); err != nil {
+	if err := in.cfg.Refresh(path, "", int64(len(deltas))); err != nil {
 		// The intent stays on disk: recovery consults the engine's
 		// completed-job count to decide committed-vs-replay.
 		return Batch{}, fmt.Errorf("ingest: refresh of batch %d (seq %d-%d): %w", b.id, first, last, err)
@@ -615,7 +609,7 @@ func (in *Ingester) applyBatch(b cutBatch) (Batch, error) {
 		ID: b.id, FirstSeq: first, LastSeq: last,
 		Records: len(b.recs), Bytes: b.bytes,
 		Oldest: b.recs[0].enq, Applied: time.Now(), Wall: wall,
-		DeltaPath: path, Output: out,
+		DeltaPath: path,
 	}, nil
 }
 

@@ -42,6 +42,10 @@ func (s *fakeSink) refresh(deltaInput, output string, records int64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if output != "" {
+		// A served refresh is read from the engine's stores.
+		return fmt.Errorf("the ingester asked for a DFS output, %q", output)
+	}
 	if s.failN > 0 {
 		s.failN--
 		return errors.New("injected refresh failure")

@@ -101,6 +101,18 @@ const (
 	// CounterMRBGDisabled marks a run that fell back to convergence-only
 	// mode with the MRBG-Store bypassed.
 	CounterMRBGDisabled = "mrbg.disabled"
+	// CounterMRBGCompactions counts the MRBG-Store shard files a refresh
+	// reconstructed once it had committed (file >= 8x live bytes), and
+	// CounterMRBGCompactedBytes the live chunk bytes those compactions
+	// copied: a refresh that ran long because it compacted says so here.
+	CounterMRBGCompactions    = "mrbg.compactions"
+	CounterMRBGCompactedBytes = "mrbg.compacted.bytes"
+	// CounterMRBGIndexBytesWritten counts the bytes a refresh's
+	// checkpoints and compactions wrote to the MRBG-Stores' index logs;
+	// CounterMRBGIndexLogBytes is the logs' total length afterwards,
+	// reported as a gauge.
+	CounterMRBGIndexBytesWritten = "mrbg.index.bytes.written"
+	CounterMRBGIndexLogBytes     = "mrbg.index.log.bytes"
 	// CounterSpillRuns counts sorted runs the shuffle runtime spilled to
 	// node-local scratch because a map-side buffer exceeded its share of
 	// the shuffle memory budget.

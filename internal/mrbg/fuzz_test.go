@@ -2,6 +2,7 @@ package mrbg
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"slices"
 	"testing"
 )
@@ -69,6 +70,57 @@ func FuzzDecodeChunk(f *testing.F) {
 		// be longer than the frame that was accepted.
 		if m > n {
 			t.Fatalf("re-encoded frame is %d bytes, the accepted one %d", m, n)
+		}
+	})
+}
+
+// FuzzIndexLog replays arbitrary bytes as an index log, as a damaged
+// mrbg-<i>.idx would be. With framed set the bytes become the payload
+// of a correctly framed record behind a valid first record, so the
+// fuzzer gets past the checksum to the parser. Replay must return an
+// error or an index whose every entry lies inside the data file length
+// it recovered; it must never panic or read past its input.
+func FuzzIndexLog(f *testing.F) {
+	index := map[string]loc{
+		"a":         {off: 0, len: 12, batch: 1, crc: 0xdeadbeef},
+		"vertex-42": {off: 12, len: 300, batch: 2, crc: 7},
+	}
+	image := appendRecord(nil, 3, 312, 2, []string{"a", "vertex-42"}, index)
+	delta := appendRecord(nil, 3, 400, 3, []string{"a", "b"}, map[string]loc{"b": {off: 312, len: 88, batch: 3, crc: 1}})
+	f.Add([]byte{}, false)
+	f.Add(image, false)
+	f.Add(slices.Concat(image, delta), false)
+	f.Add(slices.Concat(image, delta[:len(delta)/2]), false)
+	f.Add(delta[recordHeader:], true)
+	f.Add(delta[recordHeader:len(delta)-3], true)
+	for _, off := range []int{0, 5, recordHeader, recordHeader + 2, len(image) - 1} {
+		flipped := slices.Clone(image)
+		flipped[off] ^= 0x40
+		f.Add(flipped, false)
+		f.Add(flipped[recordHeader:], true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		if framed {
+			rec := append(make([]byte, recordHeader), data...)
+			binary.LittleEndian.PutUint32(rec, uint32(len(data)))
+			binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(data, castagnoli))
+			data = slices.Concat(image, rec)
+		}
+		s := &Store{index: make(map[string]loc)}
+		valid, err := s.replay(data)
+		if err != nil {
+			return // rejected input: exactly what corruption should do
+		}
+		if valid <= 0 || valid > len(data) {
+			t.Fatalf("replayed %d of %d bytes", valid, len(data))
+		}
+		if s.size < 0 || s.gen < 0 || s.batch < 0 {
+			t.Fatalf("recovered size %d, generation %d, batch %d", s.size, s.gen, s.batch)
+		}
+		for k, l := range s.index {
+			if l.off < 0 || l.len <= 0 || l.off+l.len > s.size {
+				t.Fatalf("entry %q = %+v outside the %d-byte data file", k, l, s.size)
+			}
 		}
 	})
 }

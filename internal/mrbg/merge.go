@@ -1,16 +1,11 @@
 package mrbg
 
 import (
-	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
-
-	"i2mapreduce/internal/blockio"
-	"i2mapreduce/internal/fsutil"
 )
 
 // MergeResult is one affected key after a merge: its up-to-date chunk
@@ -74,7 +69,7 @@ func (s *Store) Merge(delta []DeltaEdge, emit func(r MergeResult) error) error {
 		return err
 	}
 	for _, k := range removed {
-		delete(s.index, k)
+		s.dropLoc(k)
 	}
 	return nil
 }
@@ -243,7 +238,7 @@ func normalizeEdges(edges []Edge) []Edge {
 // file as unreferenced garbage (reclaimed by Compact).
 func (s *Store) abortMerge() {
 	s.appendBuf = s.appendBuf[:0]
-	s.pending = make(map[string]loc)
+	clear(s.pending)
 }
 
 // commitMerge seals a staged merge: the new batch commits and fully
@@ -254,7 +249,7 @@ func (s *Store) commitMerge(results []MergeResult) error {
 	}
 	for _, r := range results {
 		if r.Removed {
-			delete(s.index, r.Key)
+			s.dropLoc(r.Key)
 		}
 	}
 	return nil
@@ -289,75 +284,6 @@ func (s *Store) AllChunks(fn func(c Chunk) error) error {
 	})
 }
 
-// Compact reconstructs the MRBGraph file offline, dropping obsolete
-// chunk versions (paper: "the MRBGraph file is reconstructed off-line
-// when the worker is idle"). Afterwards the store holds exactly the
-// live chunks in one sorted batch, and the on-disk checkpoint reflects
-// the compacted file.
-func (s *Store) Compact() error {
-	if s.hasPending() {
-		return errors.New("mrbg: Compact during an uncommitted merge")
-	}
-	tmpPath := s.datPath + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	newIndex := make(map[string]loc, len(s.index))
-	var off int64
-	// Encode through a pooled block-sized scratch buffer and a large
-	// write buffer: the rewrite streams in few, big syscalls instead of
-	// one write per chunk.
-	scratch := blockio.GetBuf()
-	defer blockio.PutBuf(scratch)
-	w := bufio.NewWriterSize(tmp, 256<<10)
-	err = s.AllChunks(func(c Chunk) error {
-		buf := encodeChunk((*scratch)[:0], c)
-		*scratch = buf
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		newIndex[c.Key] = loc{off: off, len: int64(len(buf)), batch: 1}
-		off += int64(len(buf))
-		return nil
-	})
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	if err := fsutil.RenameCommit(tmpPath, s.datPath); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(s.datPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	s.f = f
-	s.index = newIndex
-	s.size = off
-	if len(newIndex) > 0 {
-		s.batch = 1
-	} else {
-		s.batch = 0
-	}
-	s.windows = make(map[int]*window)
-	return s.Checkpoint()
-}
-
 // VerifyInvariants walks the index and checks every entry decodes to a
 // chunk with the matching key, edges in ascending MK order, and bounds
 // inside the file. Tests and the failure-injection harness call it
@@ -367,9 +293,9 @@ func (s *Store) VerifyInvariants() error {
 		if l.off < 0 || l.len <= 0 || l.off+l.len > s.size {
 			return fmt.Errorf("mrbg: index entry %q out of bounds: %+v size=%d", k, l, s.size)
 		}
-		buf, err := s.readAt(nil, l.off, l.len)
+		buf, err := s.readFrame(nil, l)
 		if err != nil {
-			return err
+			return fmt.Errorf("mrbg: chunk %q: %w", k, err)
 		}
 		c, n, err := decodeChunk(buf)
 		if err != nil {

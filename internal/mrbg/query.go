@@ -2,6 +2,7 @@ package mrbg
 
 import (
 	"fmt"
+	"hash/crc32"
 	"slices"
 
 	"i2mapreduce/internal/blockio"
@@ -116,7 +117,7 @@ func (s *Store) fetch(key string, plan *queryPlan, edges []Edge) (Chunk, bool, e
 			return Chunk{}, false, err
 		}
 		*pooled = buf
-		return decodeAt(buf, key, edges)
+		return decodeAt(buf, l.crc, key, edges)
 	case SingleFixedWindow:
 		winKey, size = singleWindowKey, s.opts.FixedWindowSize
 	case MultiFixedWindow:
@@ -132,20 +133,23 @@ func (s *Store) fetch(key string, plan *queryPlan, edges []Edge) (Chunk, bool, e
 
 	if w := s.windows[winKey]; w.contains(l) {
 		s.stats.CacheHits++
-		return decodeAt(w.data[l.off-w.start:][:l.len], key, edges)
+		return decodeAt(w.data[l.off-w.start:][:l.len], l.crc, key, edges)
 	}
 	buf, err := s.readAt(nil, l.off, size)
 	if err != nil {
 		return Chunk{}, false, err
 	}
 	s.windows[winKey] = &window{start: l.off, end: l.off + int64(len(buf)), data: buf}
-	return decodeAt(buf[:l.len], key, edges)
+	return decodeAt(buf[:l.len], l.crc, key, edges)
 }
 
-// decodeAt decodes one chunk frame and validates it against the
-// requested key, converting index corruption into a hard error instead
-// of silently returning another key's edges.
-func decodeAt(frame []byte, key string, edges []Edge) (Chunk, bool, error) {
+// decodeAt decodes one chunk frame after checking it against its index
+// entry's checksum and, decoded, against the requested key: damage to
+// either file is a hard error, never another chunk's edges.
+func decodeAt(frame []byte, crc uint32, key string, edges []Edge) (Chunk, bool, error) {
+	if crc32.Checksum(frame, castagnoli) != crc {
+		return Chunk{}, false, fmt.Errorf("mrbg: chunk for %q: %w", key, errBadFrame)
+	}
 	c, _, err := decodeChunkInto(edges, frame)
 	if err != nil {
 		return Chunk{}, false, fmt.Errorf("mrbg: chunk for %q: %w", key, err)

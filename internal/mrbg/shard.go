@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"i2mapreduce/internal/fsutil"
+	"i2mapreduce/internal/metrics"
 	"i2mapreduce/internal/par"
 )
 
@@ -89,7 +90,7 @@ func Open(opts Options) (*ShardedStore, error) {
 		return nil, err
 	}
 	if !ok {
-		for _, dat := range []string{shardDatName(0), "mrbg.dat"} {
+		for _, dat := range []string{shardDatName(0, 0), shardIdxName(0), "mrbg.dat"} {
 			if _, serr := os.Stat(filepath.Join(opts.Dir, dat)); serr == nil {
 				return nil, fmt.Errorf("mrbg: %s holds %s but no %s (lost meta file, or a pre-sharding store this version cannot read)", opts.Dir, dat, metaName)
 			} else if !errors.Is(serr, os.ErrNotExist) {
@@ -215,27 +216,50 @@ func (ss *ShardedStore) Keys() []string {
 // not advance that shard's counter; use ShardStats for exact per-shard
 // values.
 func (ss *ShardedStore) Stats() Stats {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	var agg Stats
-	for _, sh := range ss.shards {
-		sh.mu.Lock()
-		st := sh.st.Stats()
-		sh.mu.Unlock()
-		agg.Reads += st.Reads
-		agg.BytesRead += st.BytesRead
-		agg.CacheHits += st.CacheHits
-		agg.AppendedChunks += st.AppendedChunks
-		agg.Flushes += st.Flushes
-		agg.DanglingDeletes += st.DanglingDeletes
-		agg.LiveChunks += st.LiveChunks
-		agg.FileBytes += st.FileBytes
-		agg.LiveBytes += st.LiveBytes
-		if st.Batches > agg.Batches {
-			agg.Batches = st.Batches
-		}
+	for _, st := range ss.ShardStats() {
+		agg.add(st)
 	}
 	return agg
+}
+
+// add folds b into a: everything sums except Batches, which keeps the
+// maximum.
+func (a *Stats) add(b Stats) {
+	a.Reads += b.Reads
+	a.BytesRead += b.BytesRead
+	a.CacheHits += b.CacheHits
+	a.AppendedChunks += b.AppendedChunks
+	a.Flushes += b.Flushes
+	a.DanglingDeletes += b.DanglingDeletes
+	a.LiveChunks += b.LiveChunks
+	a.FileBytes += b.FileBytes
+	a.LiveBytes += b.LiveBytes
+	a.Compactions += b.Compactions
+	a.CompactedBytes += b.CompactedBytes
+	a.IndexBytesWritten += b.IndexBytesWritten
+	a.IndexLogBytes += b.IndexLogBytes
+	a.IndexFoldedBytes += b.IndexFoldedBytes
+	a.Batches = max(a.Batches, b.Batches)
+}
+
+// Totals sums the statistics of a runner's per-partition stores.
+func Totals(stores []*ShardedStore) Stats {
+	var agg Stats
+	for _, ss := range stores {
+		agg.add(ss.Stats())
+	}
+	return agg
+}
+
+// ReportSince adds to rep what the stores' upkeep cost between the
+// snapshot since and st: compactions run and bytes copied, index-log
+// bytes written, and the logs' length now (a gauge).
+func (st Stats) ReportSince(rep *metrics.Report, since Stats) {
+	rep.Add(metrics.CounterMRBGCompactions, st.Compactions-since.Compactions)
+	rep.Add(metrics.CounterMRBGCompactedBytes, st.CompactedBytes-since.CompactedBytes)
+	rep.Add(metrics.CounterMRBGIndexBytesWritten, st.IndexBytesWritten-since.IndexBytesWritten)
+	rep.Add(metrics.CounterMRBGIndexLogBytes, st.IndexLogBytes)
 }
 
 // ShardStats returns each shard's statistics snapshot, for experiments
@@ -490,9 +514,9 @@ func (ss *ShardedStore) Merge(delta []DeltaEdge, emit func(r MergeResult) error)
 	return commitErr
 }
 
-// Checkpoint persists every shard's index, fsyncing data files first.
-// Shards checkpoint in parallel; each shard's checkpoint is atomic
-// (temp file + rename) on its own.
+// Checkpoint commits every shard's changes since its last checkpoint,
+// fsyncing data files first. Shards checkpoint in parallel; each
+// shard's checkpoint is atomic on its own (Store.Checkpoint).
 func (ss *ShardedStore) Checkpoint() error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -501,13 +525,32 @@ func (ss *ShardedStore) Checkpoint() error {
 	})
 }
 
-// Compact reconstructs every shard file offline, dropping obsolete
-// chunk versions (paper: "the MRBGraph file is reconstructed off-line
-// when the worker is idle"). Shards compact concurrently.
+// CompactDue reports whether any shard's file has grown to the
+// compaction trigger (see the package comment): the engines ask after
+// a refresh has committed.
+func (ss *ShardedStore) CompactDue() bool {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	for _, sh := range ss.shards {
+		if sh.st.compactDue() {
+			return true
+		}
+	}
+	return false
+}
+
+// Compact reconstructs the file of every shard that has crossed the
+// compaction trigger, dropping obsolete chunk versions (paper: "the
+// MRBGraph file is reconstructed off-line when the worker is idle");
+// shards below it are left alone. Shards compact concurrently, and a
+// compacted shard is checkpointed as of now.
 func (ss *ShardedStore) Compact() error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return ss.forEachShard(func(_ int, st *Store) error {
+		if !st.compactDue() {
+			return nil
+		}
 		return st.Compact()
 	})
 }

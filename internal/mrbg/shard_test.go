@@ -211,9 +211,7 @@ func TestShardedCompactDropsObsoleteVersions(t *testing.T) {
 	if before.FileBytes <= before.LiveBytes {
 		t.Fatalf("expected obsolete data before compaction: %+v", before)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactAll(t, s)
 	after := s.Stats()
 	if after.FileBytes != after.LiveBytes {
 		t.Fatalf("compaction left obsolete bytes: %+v", after)

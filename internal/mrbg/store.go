@@ -6,50 +6,87 @@
 // # On-disk layout
 //
 // Open returns a ShardedStore: chunks are partitioned across
-// Options.Shards independent shard files by hash(K2) % Shards, so the
-// hot paths (Merge, GetMany, Compact) can run one goroutine per shard.
-// A store directory holds:
+// Options.Shards independent shards by hash(K2) % Shards, so the hot
+// paths (Merge, GetMany, Compact) can run one goroutine per shard. A
+// store directory holds:
 //
-//	mrbg.meta  — the shard count, fixed at creation time. Reopening
-//	             with a different Options.Shards adopts the persisted
-//	             count (keys would otherwise hash to the wrong file).
-//	mrbg-<i>.dat — shard i's MRBGraph file: chunks appended in sorted
-//	             batches, one batch per merge operation (iteration). A
-//	             chunk holds every live edge of one K2, stored
-//	             contiguously; the unit of every read and write is a
-//	             whole chunk.
-//	mrbg-<i>.idx — shard i's persisted chunk index + batch counter +
-//	             logical file length, written by Checkpoint. Open
-//	             recovers from it, truncating a partially-appended tail
-//	             if the process died between Checkpoint calls.
+//	mrbg.meta — the shard count, fixed at creation time. Reopening with
+//	    a different Options.Shards adopts the persisted count (keys
+//	    would otherwise hash to the wrong file).
+//	mrbg-<i>.g<n>.dat — generation n of shard i's MRBGraph file: chunk
+//	    frames appended in sorted batches, one batch per merge operation
+//	    (iteration). A chunk holds every live edge of one K2, stored
+//	    contiguously; the unit of every read and write is a whole chunk.
+//	    Exactly one generation is current; a compaction writes the next
+//	    one and the index commit switches to it.
+//	mrbg-<i>.idx — shard i's index log, the shard's single commit point.
+//	    A sequence of records, each framed as
+//
+//	        len:u32le  crc32c(payload):u32le  payload
+//
+//	    with the payload
+//
+//	        uvarint generation, uvarint data-file length, uvarint batches,
+//	        uvarint n, then n entries in ascending key order:
+//	            uvarint len(key), key, uvarint len(frame)
+//	            and, unless len(frame) is 0 (the key was removed):
+//	            uvarint offset, uvarint batch, crc32c(frame):u32le
+//
+//	    Replaying the records in order onto an empty index yields the
+//	    checkpointed state; the last record names the current generation,
+//	    its logical length and the batch counter.
+//
+// Checkpoint fsyncs the data file and appends one record holding only
+// the entries set or removed since the last checkpoint (and writes
+// nothing when there are none), so it costs O(affected keys), not
+// O(live keys). Open replays the log, drops a torn last record (any
+// other damage is an error), truncates data-file bytes appended after
+// the last checkpoint, and unlinks data files of other generations.
+//
+// Fold rule: when an append would grow the log past twice the size of
+// a single record holding the whole index, Checkpoint instead replaces
+// the log with that one record (temp file + rename). A store's first
+// checkpoint and every compaction are folds too, so the log's first
+// record is never torn and the log stays within 2x of the live index.
+//
+// Obsolete chunk versions are not rewritten in place (paper: "obsolete
+// chunks are NOT immediately updated in the file for I/O efficiency");
+// Compact reconstructs the file instead: it copies the live frames
+// verbatim, in key order, into the next generation's file, fsyncs it,
+// commits a folded index naming that generation, and unlinks the old
+// one. A crash before the index commit leaves the old generation
+// current (the new file is swept by Open); after it, the new one.
+// CompactDue is the trigger: the file is at least compactRatio times
+// its live bytes and at least compactFloor long. The engines check it
+// once a refresh has committed — never between the iterations of one
+// refresh — and compact inline, or on the background scheduler
+// (results.Scheduler) when BackgroundCompaction is on.
+//
+// Every index entry carries the CRC32C of its chunk frame, verified on
+// every chunk read and on the compaction copy; the frames themselves
+// are unchanged. A flipped byte in either file is an error, never a
+// wrong chunk.
 //
 // The layout before sharding (mrbg.dat/mrbg.idx with no mrbg.meta) is
-// no longer read: Open refuses such a directory rather than creating an
-// empty store beside the old files.
+// not read: Open refuses such a directory rather than creating an empty
+// store beside the old files.
 //
 // With Shards: 1 (the default) a ShardedStore behaves exactly like the
 // historical single-file store: same emit order, same query results,
 // same I/O statistics.
-//
-// Obsolete chunk versions are not rewritten in place (paper: "obsolete
-// chunks are NOT immediately updated in the file for I/O efficiency");
-// Compact reconstructs the files offline.
 package mrbg
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
-
-	"i2mapreduce/internal/fsutil"
+	"strings"
 )
 
 // Edge is one MRBGraph edge as preserved in a chunk: the source Map
@@ -201,28 +238,62 @@ type Stats struct {
 	FileBytes int64
 	// LiveBytes is the total size of live chunks only.
 	LiveBytes int64
+	// Compactions counts data-file reconstructions; CompactedBytes the
+	// live bytes they copied into a new generation. Compaction's own
+	// I/O is counted here only, never in Reads/BytesRead.
+	Compactions    int64
+	CompactedBytes int64
+	// IndexBytesWritten counts the bytes Checkpoint and Compact wrote
+	// to the index log (appended records and folded images).
+	IndexBytesWritten int64
+	// IndexLogBytes is the current length of the index log, and
+	// IndexFoldedBytes the length a fold would cut it to: the log is
+	// folded before it passes twice that.
+	IndexLogBytes    int64
+	IndexFoldedBytes int64
 }
 
-// loc locates one live chunk version inside the MRBGraph file.
+// loc locates one live chunk version inside the shard's data file.
 type loc struct {
 	off   int64
 	len   int64
 	batch int
+	// crc is the CRC32C of the chunk's frame, checked whenever the frame
+	// is read back.
+	crc uint32
 }
 
-// Store is one shard of an MRBG-Store: a single MRBGraph file plus its
-// index. It is not safe for concurrent use — the ShardedStore front end
-// guarantees each shard is touched by one goroutine at a time.
+// castagnoli is the CRC32C table behind every checksum in this package.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Store is one shard of an MRBG-Store: the current generation of its
+// MRBGraph file plus its index. It is not safe for concurrent use — the
+// ShardedStore front end guarantees each shard is touched by one
+// goroutine at a time.
 type Store struct {
-	opts    Options
-	datPath string
-	idxPath string
-	f       *os.File
-	index   map[string]loc
+	opts Options
+	id   int // shard number: names the shard's files
+	// gen is the current data-file generation and f that file; nextGen
+	// is the generation the next compaction writes (never reused within
+	// a process, see Compact).
+	gen, nextGen int64
+	f            *os.File
+	// index changes key by key only through setLoc/dropLoc, which keep
+	// live, image and dirty in step with it (replay and compaction
+	// replace it wholesale and retotal).
+	index map[string]loc
 	// size is the logical end of the file: committed bytes plus
 	// buffered-but-unflushed appends land beyond it only after flush.
 	size  int64
 	batch int
+	// live is the total frame length of the indexed chunks; image the
+	// encoded length of their index entries (what a fold would write).
+	live, image int64
+	// dirty is the keys set or removed since the last checkpoint: the
+	// next index-log record. idxSize is the committed length of the
+	// index log; 0 forces the next checkpoint to fold.
+	dirty   map[string]struct{}
+	idxSize int64
 
 	appendBuf []byte
 	// pending maps keys to their new locations assigned at append time;
@@ -233,43 +304,124 @@ type Store struct {
 	stats   Stats
 
 	// scratch holds the slices the merge loop reuses from key to key and
-	// from merge to merge; they grow to the largest chunk merged.
+	// from merge to merge; they grow to the largest chunk merged. idx is
+	// the checkpoint's record buffer.
 	scratch struct {
 		old, merged []Edge
 		values      []string
+		idx         []byte
 	}
+
+	// step, when set by a test, is called at each point of a compaction
+	// where a crash leaves a different on-disk state.
+	step func(name string)
 }
 
 // minEdgeBytes is the smallest encoded edge: 8 bytes of MK and a
 // one-byte length of an empty V2.
 const minEdgeBytes = 9
 
-// shardDatName / shardIdxName name shard i's files.
-func shardDatName(i int) string { return fmt.Sprintf("mrbg-%d.dat", i) }
-func shardIdxName(i int) string { return fmt.Sprintf("mrbg-%d.idx", i) }
+// shardDatName names generation gen of shard i's data file,
+// shardIdxName its index log.
+func shardDatName(i int, gen int64) string { return fmt.Sprintf("mrbg-%d.g%d.dat", i, gen) }
+func shardIdxName(i int) string            { return fmt.Sprintf("mrbg-%d.idx", i) }
 
-// openShard creates or recovers shard i's file pair in opts.Dir. opts
-// must already have defaults applied and opts.Dir must exist.
+func (s *Store) datPath(gen int64) string { return filepath.Join(s.opts.Dir, shardDatName(s.id, gen)) }
+func (s *Store) idxPath() string          { return filepath.Join(s.opts.Dir, shardIdxName(s.id)) }
+
+// openShard creates or recovers shard i in opts.Dir: it replays the
+// index log, opens the generation the log names (generation 0 for a
+// store never checkpointed, emptied of anything it holds), cuts off
+// data appended after the last checkpoint, and unlinks data files of
+// every other generation — what a crash around a compaction's commit
+// leaves behind. opts must already have defaults applied and opts.Dir
+// must exist.
 func openShard(opts Options, i int) (*Store, error) {
-	datPath := filepath.Join(opts.Dir, shardDatName(i))
-	f, err := os.OpenFile(datPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("mrbg: opening data file: %w", err)
-	}
 	s := &Store{
 		opts:    opts,
-		datPath: datPath,
-		idxPath: filepath.Join(opts.Dir, shardIdxName(i)),
-		f:       f,
+		id:      i,
 		index:   make(map[string]loc),
+		dirty:   make(map[string]struct{}),
 		pending: make(map[string]loc),
 		windows: make(map[int]*window),
 	}
-	if err := s.loadIndex(); err != nil {
+	checkpointed, err := s.loadIndex()
+	if err != nil {
+		return nil, err
+	}
+	flags := os.O_RDWR
+	if !checkpointed {
+		flags |= os.O_CREATE | os.O_TRUNC
+	}
+	f, err := os.OpenFile(s.datPath(s.gen), flags, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("mrbg: opening data file: %w", err)
+	}
+	s.f = f
+	s.nextGen = s.gen + 1
+	if err := s.trimDataFiles(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// trimDataFiles drops what no checkpoint covers: bytes of the current
+// generation beyond the checkpointed length, and the files of all other
+// generations.
+func (s *Store) trimDataFiles() error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size() < s.size {
+		return fmt.Errorf("mrbg: data file %s shorter (%d) than checkpoint (%d)", fi.Name(), fi.Size(), s.size)
+	}
+	if fi.Size() > s.size {
+		if err := s.f.Truncate(s.size); err != nil {
+			return err
+		}
+	}
+	ents, err := os.ReadDir(s.opts.Dir)
+	if err != nil {
+		return err
+	}
+	prefix, current := fmt.Sprintf("mrbg-%d.g", s.id), shardDatName(s.id, s.gen)
+	for _, e := range ents {
+		name := e.Name()
+		if name == current || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".dat") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.opts.Dir, name)); err != nil {
+			return fmt.Errorf("mrbg: sweeping stale generation: %w", err)
+		}
+	}
+	return nil
+}
+
+// setLoc points key at l; dropLoc removes it. They are the only writers
+// of the index, so the live-byte and image-size totals and the dirty
+// set always match it.
+func (s *Store) setLoc(key string, l loc) {
+	if old, ok := s.index[key]; ok {
+		s.live -= old.len
+		s.image -= entrySize(key, old)
+	}
+	s.index[key] = l
+	s.live += l.len
+	s.image += entrySize(key, l)
+	s.dirty[key] = struct{}{}
+}
+
+func (s *Store) dropLoc(key string) {
+	old, ok := s.index[key]
+	if !ok {
+		return
+	}
+	delete(s.index, key)
+	s.live -= old.len
+	s.image -= entrySize(key, old)
+	s.dirty[key] = struct{}{}
 }
 
 // Close releases the underlying file without checkpointing.
@@ -300,14 +452,15 @@ func (s *Store) Stats() Stats {
 	st.Batches = s.batch
 	st.LiveChunks = len(s.index)
 	st.FileBytes = s.size
-	for _, l := range s.index {
-		st.LiveBytes += l.len
-	}
+	st.LiveBytes = s.live
+	st.IndexLogBytes = s.idxSize
+	st.IndexFoldedBytes = s.imageBytes()
 	return st
 }
 
-// ResetStats zeroes the I/O counters (batch/live counts are derived and
-// unaffected). The Table 4 harness resets between phases.
+// ResetStats zeroes the I/O counters (batch/live counts and the index
+// log length are derived and unaffected). The Table 4 harness resets
+// between phases.
 func (s *Store) ResetStats() { s.stats = Stats{} }
 
 // encodeChunk appends the chunk's frame to buf and returns it. Frame:
@@ -384,11 +537,12 @@ func decodeChunkInto(edges []Edge, data []byte) (Chunk, int, error) {
 func (s *Store) appendChunk(c Chunk) error {
 	start := len(s.appendBuf)
 	s.appendBuf = encodeChunk(s.appendBuf, c)
-	frameLen := int64(len(s.appendBuf) - start)
+	frame := s.appendBuf[start:]
 	s.pending[c.Key] = loc{
 		off:   s.size + int64(start),
-		len:   frameLen,
+		len:   int64(len(frame)),
 		batch: s.batch + 1,
+		crc:   crc32.Checksum(frame, castagnoli),
 	}
 	s.stats.AppendedChunks++
 	if int64(len(s.appendBuf)) >= s.opts.AppendBufSize {
@@ -425,119 +579,8 @@ func (s *Store) commitPending() error {
 	}
 	s.batch++
 	for k, l := range s.pending {
-		s.index[k] = l
+		s.setLoc(k, l)
 	}
-	s.pending = make(map[string]loc)
-	return nil
-}
-
-// Checkpoint persists the index, batch counter, and logical file length
-// to the shard's index file, fsyncing the data file first. A store
-// reopened from a checkpoint sees exactly the chunks live at Checkpoint
-// time (paper Sec. 6.1: the MRBGraph file is checkpointed every
-// iteration).
-func (s *Store) Checkpoint() error {
-	if err := s.flushAppendBuf(); err != nil {
-		return err
-	}
-	if len(s.pending) != 0 {
-		return errors.New("mrbg: Checkpoint during an uncommitted merge")
-	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	// Encode the index in sorted key order into memory, then commit
-	// through fsutil so the checkpoint is fsynced and never observed
-	// torn. Sorted keys make the checkpoint bytes deterministic; map
-	// iteration order would shuffle them on every run (byte-identity
-	// invariant).
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	writeUvarint(uint64(s.size))
-	writeUvarint(uint64(s.batch))
-	writeUvarint(uint64(len(s.index)))
-	for _, k := range keys {
-		l := s.index[k]
-		writeUvarint(uint64(len(k)))
-		buf.WriteString(k)
-		writeUvarint(uint64(l.off))
-		writeUvarint(uint64(l.len))
-		writeUvarint(uint64(l.batch))
-	}
-	return fsutil.WriteFileAtomic(s.idxPath, buf.Bytes())
-}
-
-// loadIndex recovers the index from the shard's index file if present,
-// truncating an uncheckpointed tail of the data file.
-func (s *Store) loadIndex() error {
-	f, err := os.Open(s.idxPath)
-	if errors.Is(err, os.ErrNotExist) {
-		// Fresh store: start empty, discarding any uncheckpointed data.
-		return s.f.Truncate(0)
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(r) }
-	size, err := readUvarint()
-	if err != nil {
-		return fmt.Errorf("mrbg: corrupt index: %w", err)
-	}
-	batch, err := readUvarint()
-	if err != nil {
-		return fmt.Errorf("mrbg: corrupt index: %w", err)
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return fmt.Errorf("mrbg: corrupt index: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		kLen, err := readUvarint()
-		if err != nil {
-			return fmt.Errorf("mrbg: corrupt index entry: %w", err)
-		}
-		kb := make([]byte, kLen)
-		if _, err := io.ReadFull(r, kb); err != nil {
-			return fmt.Errorf("mrbg: corrupt index key: %w", err)
-		}
-		off, err := readUvarint()
-		if err != nil {
-			return fmt.Errorf("mrbg: corrupt index off: %w", err)
-		}
-		l, err := readUvarint()
-		if err != nil {
-			return fmt.Errorf("mrbg: corrupt index len: %w", err)
-		}
-		b, err := readUvarint()
-		if err != nil {
-			return fmt.Errorf("mrbg: corrupt index batch: %w", err)
-		}
-		s.index[string(kb)] = loc{off: int64(off), len: int64(l), batch: int(b)}
-	}
-	s.size = int64(size)
-	s.batch = int(batch)
-	// Drop any bytes appended after the last checkpoint.
-	fi, err := s.f.Stat()
-	if err != nil {
-		return err
-	}
-	if fi.Size() > s.size {
-		if err := s.f.Truncate(s.size); err != nil {
-			return err
-		}
-	} else if fi.Size() < s.size {
-		return fmt.Errorf("mrbg: data file shorter (%d) than checkpoint (%d)", fi.Size(), s.size)
-	}
+	clear(s.pending)
 	return nil
 }

@@ -885,28 +885,13 @@ func (s *Store) AttachScheduler(sched *Scheduler) {
 	s.sched = sched
 }
 
-// CompactDue reports whether the store's segment shape has crossed a
-// compaction trigger: its segment-count threshold, or byteTrigger > 0
-// and the total segment bytes at or above it. Always false with a
-// single segment (nothing to fold) or with compaction disabled
-// (negative CompactThreshold).
-func (s *Store) CompactDue(byteTrigger int64) bool {
+// CompactDue reports whether the store's segment count has reached its
+// compaction threshold. Always false with a single segment (nothing to
+// fold) or with compaction disabled (CompactThreshold <= 0).
+func (s *Store) CompactDue() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.segs) <= 1 || s.opts.CompactThreshold < 0 {
-		return false
-	}
-	if s.opts.CompactThreshold > 0 && len(s.segs) >= s.opts.CompactThreshold {
-		return true
-	}
-	if byteTrigger > 0 {
-		var b int64
-		for _, seg := range s.segs {
-			b += seg.bytes
-		}
-		return b >= byteTrigger
-	}
-	return false
+	return len(s.segs) > 1 && s.opts.CompactThreshold > 0 && len(s.segs) >= s.opts.CompactThreshold
 }
 
 // Compact folds every segment into one, dropping tombstones and

@@ -5,10 +5,12 @@ package results
 // compacts inline during Checkpoint — a refresh pays only the memtable
 // flush and the manifest commit — and instead notifies the scheduler,
 // whose bounded workers run the snapshot-isolated Compact when the
-// store's segment shape crosses a trigger (segment count, or total
-// segment bytes). Engines bracket refreshes with Pause/Resume so a
-// compaction merge never competes with refresh I/O, and Close shuts the
-// workers down cleanly before the stores themselves close.
+// store's segment count crosses its threshold. Engines bracket
+// refreshes with Pause/Resume so a compaction merge never competes with
+// refresh I/O, and Close shuts the workers down cleanly before the
+// stores themselves close. The engines hand it their MRBG-Stores too
+// (mrbg.ShardedStore, whose trigger is file bytes over live bytes): the
+// scheduler knows a store only as a Compactable.
 //
 // Crash consistency is unchanged: Compact commits its manifest before
 // deleting folded segments, exactly as the inline path did, so a crash
@@ -27,10 +29,14 @@ type SchedulerOptions struct {
 	// (compaction is heavyweight sequential I/O; a small bound keeps it
 	// from competing with itself).
 	Workers int
-	// SegmentBytes, when > 0, additionally triggers a compaction when a
-	// store's total segment bytes reach it, even below the store's
-	// segment-count threshold.
-	SegmentBytes int64
+}
+
+// Compactable is a store the scheduler can compact: CompactDue is the
+// store's own trigger, cheap enough to ask on every notification, and
+// Compact must be safe to run beside the store's readers.
+type Compactable interface {
+	CompactDue() bool
+	Compact() error
 }
 
 // Scheduler runs store compactions on background workers. All methods
@@ -41,8 +47,8 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []*Store
-	pending  map[*Store]bool // dedup: stores currently in queue
+	queue    []Compactable
+	pending  map[Compactable]bool // dedup: stores currently in queue
 	inflight int
 	paused   bool
 	closed   bool
@@ -58,7 +64,7 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
-	s := &Scheduler{opts: opts, pending: make(map[*Store]bool)}
+	s := &Scheduler{opts: opts, pending: make(map[Compactable]bool)}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -69,11 +75,12 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 }
 
 // Notify tells the scheduler st's shape may have changed (a Checkpoint
-// flushed a segment). The store is enqueued if its compaction trigger
-// has fired and it is not already queued; workers re-check the trigger
-// at pickup, so spurious notifications are cheap.
-func (s *Scheduler) Notify(st *Store) {
-	if s == nil || st == nil || !st.CompactDue(s.opts.SegmentBytes) {
+// flushed a segment, a refresh appended a batch). The store is enqueued
+// if its compaction trigger has fired and it is not already queued;
+// workers re-check the trigger at pickup, so spurious notifications are
+// cheap.
+func (s *Scheduler) Notify(st Compactable) {
+	if s == nil || !st.CompactDue() {
 		return
 	}
 	s.mu.Lock()
@@ -84,6 +91,21 @@ func (s *Scheduler) Notify(st *Store) {
 	s.pending[st] = true
 	s.queue = append(s.queue, st)
 	s.cond.Broadcast()
+}
+
+// Offer is Notify for a store that does not notify for itself: the
+// engines call it on each MRBG-Store once a refresh has committed. On a
+// nil Scheduler — compaction is inline — it runs the due compaction
+// here, so the call site is the same in both modes.
+func (s *Scheduler) Offer(st Compactable) error {
+	if s != nil {
+		s.Notify(st)
+		return nil
+	}
+	if !st.CompactDue() {
+		return nil
+	}
+	return st.Compact()
 }
 
 // Pause stops workers from starting new compactions and waits out any
@@ -181,7 +203,7 @@ func (s *Scheduler) worker() {
 
 		// Re-check at pickup: the trigger may have been satisfied by a
 		// compaction that ran between Notify and now.
-		if st.CompactDue(s.opts.SegmentBytes) {
+		if st.CompactDue() {
 			if err := st.Compact(); err != nil {
 				s.fails.Add(1)
 				s.mu.Lock()

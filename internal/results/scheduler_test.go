@@ -238,3 +238,64 @@ func TestSchedulerPauseBarrier(t *testing.T) {
 	}
 	sched.Resume()
 }
+
+// fakeCompactable is a store of another kind (the engines offer their
+// MRBG-Stores): due until compacted, counting the compactions.
+type fakeCompactable struct {
+	mu   sync.Mutex
+	due  bool
+	runs int
+}
+
+func (f *fakeCompactable) CompactDue() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.due
+}
+
+func (f *fakeCompactable) Compact() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.due = false
+	f.runs++
+	return nil
+}
+
+// TestSchedulerOffer: the scheduler compacts any Compactable, and
+// Offer is the one call site for both modes — queued behind the Pause
+// barrier with a scheduler, run on the spot on a nil one, and nothing
+// either way for a store that is not due.
+func TestSchedulerOffer(t *testing.T) {
+	sched := NewScheduler(SchedulerOptions{Workers: 1})
+	defer sched.Close()
+	st := &fakeCompactable{due: true}
+	sched.Pause()
+	if err := sched.Offer(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Offer(st); err != nil { // a second offer does not queue twice
+		t.Fatal(err)
+	}
+	if sched.QueueDepth() != 1 || st.runs != 0 {
+		t.Fatalf("paused: queue depth %d, %d compactions; want 1 queued, none run", sched.QueueDepth(), st.runs)
+	}
+	sched.Resume()
+	drainScheduler(t, sched)
+	if st.runs != 1 || sched.Runs() != 1 {
+		t.Fatalf("after resume: %d compactions, scheduler counted %d; want 1", st.runs, sched.Runs())
+	}
+	if err := sched.Offer(st); err != nil || sched.QueueDepth() != 0 {
+		t.Fatalf("a store not due was queued (depth %d, err %v)", sched.QueueDepth(), err)
+	}
+
+	var inline *Scheduler
+	st = &fakeCompactable{due: true}
+	for i := 0; i < 2; i++ { // the second finds nothing due
+		if err := inline.Offer(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.runs != 1 {
+		t.Fatalf("nil scheduler ran %d compactions for one due store", st.runs)
+	}
+}

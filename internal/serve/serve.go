@@ -39,6 +39,7 @@ import (
 	"i2mapreduce/internal/incr"
 	"i2mapreduce/internal/kv"
 	"i2mapreduce/internal/metrics"
+	"i2mapreduce/internal/mrbg"
 	"i2mapreduce/internal/par"
 	"i2mapreduce/internal/results"
 )
@@ -90,6 +91,9 @@ type Server struct {
 	// scheduler gauges in /stats. Nil (and all gauges zero) unless the
 	// runner was built with background compaction on.
 	sched atomic.Pointer[results.Scheduler]
+	// mrbgStores is the runner's MRBG-Stores, whose upkeep counters /stats
+	// reports; nil for a Server built over bare stores (NewServer).
+	mrbgStores []*mrbg.ShardedStore
 
 	// freshness, when attached, surfaces the ingestion pipeline's
 	// watermark/freshness view in /stats. Nil unless an Ingester is
@@ -148,6 +152,7 @@ func NewOneStep(r *incr.Runner, opts Options) (*Server, error) {
 		return nil, err
 	}
 	srv.AttachCompactionScheduler(r.CompactionScheduler())
+	srv.mrbgStores = r.Stores()
 	return srv, nil
 }
 
@@ -166,6 +171,7 @@ func NewIncremental(r *core.Runner, opts Options) (*Server, error) {
 		return nil, err
 	}
 	srv.AttachCompactionScheduler(r.CompactionScheduler())
+	srv.mrbgStores = r.Stores()
 	return srv, nil
 }
 
@@ -402,6 +408,17 @@ type Stats struct {
 	CompactQueueDepth int64 `json:"compact_queue_depth"`
 	CompactBGRuns     int64 `json:"compact_bg_runs"`
 	CompactBGFailures int64 `json:"compact_bg_failures"`
+	// MRBG-Store upkeep, summed over the runner's partitions since it
+	// was opened: shard files reconstructed and the live bytes copied,
+	// bytes written to the index logs, and — gauges — the logs' length
+	// and the data files' length against their live bytes. All zero
+	// for a job that preserves no MRBGraph.
+	MRBGCompactions       int64 `json:"mrbg_compactions"`
+	MRBGCompactedBytes    int64 `json:"mrbg_compacted_bytes"`
+	MRBGIndexBytesWritten int64 `json:"mrbg_index_bytes_written"`
+	MRBGIndexLogBytes     int64 `json:"mrbg_index_log_bytes"`
+	MRBGFileBytes         int64 `json:"mrbg_file_bytes"`
+	MRBGLiveBytes         int64 `json:"mrbg_live_bytes"`
 	// Ingest is the ingestion freshness view; nil unless an Ingester is
 	// attached (AttachFreshness).
 	Ingest *Freshness `json:"ingest,omitempty"`
@@ -410,6 +427,7 @@ type Stats struct {
 // Stats returns the server's current counters.
 func (s *Server) Stats() Stats {
 	sched := s.sched.Load() // nil-safe: gauges read as zero
+	graph := mrbg.Totals(s.mrbgStores)
 	st := Stats{
 		Epoch:             s.Epoch(),
 		Partitions:        len(s.stores),
@@ -421,6 +439,13 @@ func (s *Server) Stats() Stats {
 		CompactQueueDepth: sched.QueueDepth(),
 		CompactBGRuns:     sched.Runs(),
 		CompactBGFailures: sched.Failures(),
+
+		MRBGCompactions:       graph.Compactions,
+		MRBGCompactedBytes:    graph.CompactedBytes,
+		MRBGIndexBytesWritten: graph.IndexBytesWritten,
+		MRBGIndexLogBytes:     graph.IndexLogBytes,
+		MRBGFileBytes:         graph.FileBytes,
+		MRBGLiveBytes:         graph.LiveBytes,
 	}
 	if f := s.freshness.Load(); f != nil {
 		fr := (*f)()

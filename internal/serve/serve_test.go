@@ -408,6 +408,12 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code := getJSON("/stats", &st); code != http.StatusOK || st.Epoch != 1 || st.Partitions != 2 {
 		t.Fatalf("/stats = %d %+v", code, st)
 	}
+	// The fine-grain job preserves an MRBGraph: its stores' upkeep is in
+	// /stats. The initial run wrote each file once and checkpointed it.
+	if st.MRBGLiveBytes == 0 || st.MRBGFileBytes != st.MRBGLiveBytes || st.MRBGCompactions != 0 ||
+		st.MRBGIndexLogBytes == 0 || st.MRBGIndexBytesWritten != st.MRBGIndexLogBytes {
+		t.Fatalf("/stats MRBG-Store counters = %+v", st)
+	}
 	if code := getJSON("/healthz", nil); code != http.StatusOK {
 		t.Fatalf("/healthz = %d", code)
 	}
